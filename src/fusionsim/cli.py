@@ -185,8 +185,7 @@ def cmd_fusion(args) -> int:
 
     pattern_rows = []
     for label in BellLabel:
-        result = experiment.run_fusion(label, cfg.experiment())
-        for pattern, prob in sorted(result.pattern_probs.items()):
+        for pattern, prob in sorted(stats.results[label].pattern_probs.items()):
             pattern_rows.append(
                 (label.value, "|" + "".join(str(n) for n in pattern) + "|", float(prob))
             )
@@ -321,6 +320,9 @@ class PercolateRunConfig:
     threads: int = 1
 
     def __post_init__(self):
+        integers = (*self.sizes, self.trials, self.seed, self.threads)
+        if any(type(v) is not int for v in integers):
+            raise ValueError("sizes, trials, seed and threads must be integers")
         if len(self.sizes) < 1 or any(s < 2 for s in self.sizes):
             raise ValueError("sizes must all be at least 2")
         if self.mode not in percolation.MODES:
@@ -333,12 +335,22 @@ class PercolateRunConfig:
             raise ValueError("need 0 <= p_start < p_stop <= 1")
         if not 0.0 < self.p_step <= 1.0:
             raise ValueError("p_step must lie in (0, 1]")
+        steps = (self.p_stop - self.p_start) / self.p_step
+        if abs(steps - round(steps)) > 1e-6:
+            raise ValueError("p_step must divide p_stop - p_start")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 
     def grid(self) -> np.ndarray:
         count = int(round((self.p_stop - self.p_start) / self.p_step)) + 1
         return np.round(np.linspace(self.p_start, self.p_stop, count), 12)
+
+
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad sizes {text!r}: {exc}") from exc
 
 
 def _curve_rows(curves: dict[int, percolation.SweepCurve]):
@@ -360,9 +372,11 @@ def _curve_rows(curves: dict[int, percolation.SweepCurve]):
 def cmd_percolate(args) -> int:
     file_values = _load_config_file(args.config)
     if "sizes" in file_values:
-        file_values["sizes"] = tuple(int(x) for x in file_values["sizes"])
+        if not isinstance(file_values["sizes"], list):
+            raise ConfigError("config sizes must be a list of lattice sides")
+        file_values["sizes"] = tuple(file_values["sizes"])
     flag_values = {
-        "sizes": tuple(int(x) for x in args.sizes.split(",")) if args.sizes else None,
+        "sizes": _parse_sizes(args.sizes) if args.sizes else None,
         "mode": args.mode,
         "boundary": args.boundary,
         "trials": args.trials,

@@ -165,12 +165,14 @@ class OutcomeStats:
     pattern heralding B; outcome_probs weights the four inputs uniformly
     (the reduced state of two fused pair halves), with None collecting the
     failures.  Normalization factors cover every pattern in the table.
+    results holds the fusion run of each Bell input behind these numbers.
     """
 
     per_input_success: dict[BellLabel, float]
     outcome_probs: dict[Optional[BellLabel], float]
     total_success: float
     factors: dict[Pattern, float]
+    results: dict[BellLabel, FusionResult]
 
 
 def success_probability(
@@ -179,17 +181,18 @@ def success_probability(
     """Per-input and mixture-averaged Bell discrimination probabilities."""
     table = ideal_table(config)
     per_input: dict[BellLabel, float] = {}
+    results: dict[BellLabel, FusionResult] = {}
     outcome_probs: dict[Optional[BellLabel], float] = {label: 0.0 for label in BellLabel}
     outcome_probs[None] = 0.0
     for label in BellLabel:
-        result = run_fusion(label, config)
+        result = results[label] = run_fusion(label, config)
         routed = classify_distribution(result.pattern_probs, table)
         per_input[label] = routed[label]
         for outcome, prob in routed.items():
             outcome_probs[outcome] += 0.25 * prob
     total = math.fsum(prob for out, prob in outcome_probs.items() if out is not None)
     factors = normalization_factors(table, ppnrd or PPNRDConfig())
-    return OutcomeStats(per_input, outcome_probs, total, factors)
+    return OutcomeStats(per_input, outcome_probs, total, factors, results)
 
 
 # --------------------------------------------------------------------------

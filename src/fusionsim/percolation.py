@@ -1,20 +1,21 @@
 """Monte Carlo percolation on the square lattice, tuned for large sizes.
 
-One sweep assigns every element (bond, or site and bond) an independent
-uniform variate and adds elements in increasing order, maintaining the
-largest cluster with a union-find structure; the microcanonical record
-S_m (largest cluster after m additions) is then converted to any fixed
-occupation probability p by a binomial convolution.  This gives the whole
-curve S(p) from a single pass per trial, which is what makes 1000 x 1000
-lattices practical.
+One sweep draws a random order of the elements (bonds, or sites and
+bonds) and adds them one per step; the microcanonical record S_m (largest
+cluster after m additions) is then converted to any fixed occupation
+probability p by a binomial convolution (Newman and Ziff).  This gives the
+whole curve S(p) from a single pass per trial, which is what makes
+1000 x 1000 lattices practical.
 
 The site-bond mode activates sites and bonds with the same probability:
 a site is a fused node of the growing cluster state and a bond an
 inter-node fusion, so the occupation probability is the fusion success
-probability.  Bonds drawn before their endpoints are parked on the
-inactive endpoints and resolved when those sites activate.  A bond-only
-mode (all sites present) serves as the exactly-solvable control, with its
-self-dual threshold at 1/2.
+probability.  A bond joins its endpoints once it and both endpoints are
+present, so the sweep is one Kruskal pass: each bond gets the effective
+step max(own step, steps of its endpoints) and a union-find merges the
+bonds in effective-step order.  A bond-only mode (every site present from
+step 0) serves as the exactly-solvable control, with its self-dual
+threshold at 1/2.
 
 Success probabilities below ``MIN_FUSION_SUCCESS`` cannot sustain
 connected growth from three-photon GHZ resources (literature value).
@@ -28,6 +29,7 @@ connectivity that plain site removal discards.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -110,70 +112,6 @@ def n_elements(lattice: Lattice, model: PercModel) -> int:
     return lattice.n_sites + lattice.n_bonds
 
 
-class UnionFindState:
-    """Union by size with path halving, tracking the largest cluster.
-
-    Sites start inactive in site-bond mode; bonds that arrive early wait in
-    per-site pending lists and are replayed when the site activates.
-    """
-
-    def __init__(self, n_sites: int, all_active: bool):
-        self.parent = list(range(n_sites))
-        self.size = [1] * n_sites
-        self.active = [all_active] * n_sites
-        self.n_active = n_sites if all_active else 0
-        self.largest = 1 if all_active else 0
-        self.pending: list[list[int]] = [[] for _ in range(n_sites)]
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        size = self.size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        size[ra] += size[rb]
-        if size[ra] > self.largest:
-            self.largest = size[ra]
-
-    def add_bond(self, u: int, v: int) -> None:
-        active = self.active
-        if active[u] and active[v]:
-            self.union(u, v)
-        else:
-            if not active[u]:
-                self.pending[u].append(v)
-            if not active[v]:
-                self.pending[v].append(u)
-
-    def activate_site(self, s: int) -> None:
-        self.active[s] = True
-        self.n_active += 1
-        if self.largest == 0:
-            self.largest = 1
-        for other in self.pending[s]:
-            if self.active[other]:
-                self.union(s, other)
-        self.pending[s] = []
-
-    def cluster_sizes(self) -> dict[int, int]:
-        """Active-site cluster sizes keyed by root (slow; for verification)."""
-        out: dict[int, int] = {}
-        for s in range(len(self.parent)):
-            if self.active[s]:
-                root = self.find(s)
-                out[root] = out.get(root, 0) + 1
-        return out
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic per-trial generator: counter-based stream derived
     from the master seed and the trial index."""
@@ -196,58 +134,67 @@ def run_trial(
     1 in bond mode, where isolated sites are clusters, and 0 in site-bond
     mode, where no site is active yet).  For ``spanning`` the record is the
     0/1 indicator of a cluster touching both the first and last row.
+
+    Bonds are merged with union by size and path halving in order of
+    effective step (ties in bond order); the fraction record is written
+    where the largest cluster grows and forward-filled, and the spanning
+    record switches on at the first merge that joins the two rows.
     """
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be one of {OBSERVABLES}")
     rng = trial_rng(seed, trial)
     n = lattice.n_sites
     bonds = lattice.bonds
-    n_bonds = len(bonds)
-    bond_mode = model.mode == "bond"
-    m_total = n_bonds if bond_mode else n + n_bonds
+    m_total = n_elements(lattice, model)
     order = rng.permutation(m_total)
+    step = np.empty(m_total, dtype=np.int64)
+    step[order] = np.arange(1, m_total + 1)
+    if model.mode == "bond":
+        site_step, bond_step = np.zeros(n, dtype=np.int64), step
+    else:
+        site_step, bond_step = step[:n], step[n:]
+    key = np.maximum.reduce(
+        [bond_step, site_step[bonds[:, 0]], site_step[bonds[:, 1]]]
+    )
+    ranked = np.argsort(key, kind="stable")
 
     spanning = observable == "spanning"
-    # Spanning uses two virtual terminals fused to the first and last rows;
-    # they corrupt cluster sizes, which spanning mode never reads.
-    uf = UnionFindState(n + 2 if spanning else n, all_active=bond_mode)
     record = np.zeros(m_total + 1, dtype=np.int64)
-
+    if not spanning:
+        record[site_step.min()] = 1
     L = lattice.length
-    top, bottom = n, n + 1
-    if spanning and bond_mode:
-        for s in range(L):
-            uf.union(s, top)
-        for s in range(n - L, n):
-            uf.union(s, bottom)
-
-    # Local aliases keep the sweep tight.
-    find = uf.find
-    add_bond = uf.add_bond
-    activate = uf.activate_site
-    bond_u = bonds[:, 0].tolist()
-    bond_v = bonds[:, 1].tolist()
-
-    record[0] = 0 if spanning else uf.largest
-    for step, element in enumerate(order.tolist(), start=1):
-        if bond_mode:
-            add_bond(bond_u[element], bond_v[element])
-        elif element < n:
-            activate(element)
-            if spanning:
-                if element < L:
-                    uf.union(element, top)
-                if element >= n - L:
-                    uf.union(element, bottom)
-        else:
-            b = element - n
-            add_bond(bond_u[b], bond_v[b])
+    # Bit 1 marks a cluster touching the first row, bit 2 the last row.
+    rows = [0] * n
+    rows[:L] = [1] * L
+    rows[n - L :] = [2] * L
+    parent = list(range(n))
+    size = [1] * n
+    largest = 1
+    for k, u, v in zip(
+        key[ranked].tolist(), bonds[ranked, 0].tolist(), bonds[ranked, 1].tolist()
+    ):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            continue
+        if size[u] < size[v]:
+            u, v = v, u
+        parent[v] = u
+        size[u] += size[v]
         if spanning:
-            if find(top) == find(bottom):
-                record[step:] = 1  # spanning is monotone under additions
+            rows[u] |= rows[v]
+            if rows[u] == 3:
+                record[k:] = 1  # spanning is monotone under additions
                 break
-        else:
-            record[step] = uf.largest
+        elif size[u] > largest:
+            largest = size[u]
+            record[k] = largest
+    if not spanning:
+        np.maximum.accumulate(record, out=record)
     return record
 
 
@@ -404,10 +351,12 @@ def sweep_curve(
     convolved onto ``p_grid``.
 
     Trials are keyed by (seed, trial index) and aggregated in index order,
-    so the curve is identical for any worker count.
+    so the curve is identical for any worker count.  The worker count is
+    clamped to the trial count and the CPU count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    workers = min(workers, trials, os.cpu_count() or 1)
     indices = list(range(trials))
     if workers <= 1:
         records = [
@@ -436,6 +385,25 @@ def sweep_curve(
     return convolve_binomial(records, p_grid, lattice, model, observable, seed=seed)
 
 
+def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Smallest site index of each site's connected component.
+
+    Vectorized label propagation with pointer jumping, independent of the
+    union-find in ``run_trial`` so that it can check it.
+    """
+    labels = np.arange(n)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        low = np.minimum(labels[u], labels[v])
+        new = labels.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def direct_monte_carlo(
     lattice: Lattice,
     model: PercModel,
@@ -461,28 +429,16 @@ def direct_monte_carlo(
         )
         bond_open = rng.random(len(bonds)) < p
         live = bond_open & site_open[bonds[:, 0]] & site_open[bonds[:, 1]]
-        uf = UnionFindState(n, all_active=True)
-        union = uf.union
-        for u, v in bonds[live].tolist():
-            union(u, v)
+        labels = _component_labels(n, bonds[live])
         if observable == "spanning":
             L = lattice.length
-            tops = {uf.find(s) for s in range(L) if site_open[s]}
-            bottoms = {uf.find(s) for s in range(n - L, n) if site_open[s]}
-            values.append(1.0 if tops & bottoms else 0.0)
-        elif bond_mode:
-            values.append(uf.largest / n)
+            tops = labels[:L][site_open[:L]]
+            bottoms = labels[n - L :][site_open[n - L :]]
+            values.append(1.0 if np.intersect1d(tops, bottoms).size else 0.0)
+        elif site_open.any():
+            values.append(np.bincount(labels[site_open]).max() / n)
         else:
-            active = np.nonzero(site_open)[0]
-            if len(active) == 0:
-                values.append(0.0)
-            else:
-                sizes: dict[int, int] = {}
-                find = uf.find
-                for s in active.tolist():
-                    root = find(s)
-                    sizes[root] = sizes.get(root, 0) + 1
-                values.append(max(sizes.values()) / n)
+            values.append(0.0)
     mean = math.fsum(values) / trials
     if trials > 1:
         stderr = math.sqrt(

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fusionsim import detection, experiment
 from fusionsim.cli import main
 
 
@@ -67,6 +68,21 @@ class TestFusionCommand:
         assert main(["fusion", "--out", str(out_b)]) == 0
         for name in ("outcomes.csv", "patterns.csv", "factors.csv"):
             assert read(out_a / name) == read(out_b / name)
+
+    def test_each_input_runs_once_per_table(self, tmp_path, monkeypatch):
+        calls = []
+        run_fusion = experiment.run_fusion
+
+        def counting(label, config):
+            calls.append(config.phase)
+            return run_fusion(label, config)
+
+        monkeypatch.setattr(detection, "run_fusion", counting)
+        monkeypatch.setattr(experiment, "run_fusion", counting)
+        out = tmp_path / "run"
+        assert main(["fusion", "--phase", "0.5", "--out", str(out)]) == 0
+        # four ideal inputs for the table, four at the configured phase
+        assert sorted(calls) == [0.0] * 4 + [0.5] * 4
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run"
@@ -166,6 +182,28 @@ class TestPercolateCommand:
 
     def test_invalid_grid_exit_2(self, tmp_path):
         assert main(["percolate", "--grid", "0.9:0.1:0.05", "--out", str(tmp_path)]) == 2
+
+    def test_step_must_divide_grid_range(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["percolate", "--grid", "0.4:0.9:0.03", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--sizes", "10,abc"], None),
+            ([], {"trials": 2.5}),
+            ([], {"sizes": 5}),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, flags, config):
+        args = ["percolate", *flags, "--out", str(tmp_path / "run")]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        assert not (tmp_path / "run").exists()
 
 
 class TestSmallCommands:

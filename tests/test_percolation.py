@@ -1,4 +1,4 @@
-"""Union-find sweep, binomial convolution, and threshold estimation."""
+"""Kruskal sweep, binomial convolution, and threshold estimation."""
 
 import math
 from collections import deque
@@ -6,13 +6,13 @@ from collections import deque
 import numpy as np
 import pytest
 
+from fusionsim import percolation
 from fusionsim.percolation import (
     BOND_THRESHOLD,
     SITE_BOND_EQUAL_THRESHOLD,
     Lattice,
     PercModel,
     SweepCurve,
-    UnionFindState,
     binomial_window,
     build_square_lattice,
     convolve_binomial,
@@ -62,70 +62,29 @@ class TestLattice:
             PercModel(p=1.5)
 
 
-def bfs_cluster_sizes(n_sites, active_sites, live_bonds):
-    """Exhaustive traversal reference for cluster sizes."""
+def bfs_clusters(active_sites, live_bonds):
+    """Exhaustive traversal reference: the clusters as sets of sites."""
     adjacency = {s: [] for s in active_sites}
     for u, v in live_bonds:
         adjacency[u].append(v)
         adjacency[v].append(u)
     seen = set()
-    sizes = []
+    clusters = []
     for start in active_sites:
         if start in seen:
             continue
         queue = deque([start])
         seen.add(start)
-        size = 0
+        cluster = set()
         while queue:
             node = queue.popleft()
-            size += 1
+            cluster.add(node)
             for nxt in adjacency[node]:
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
-        sizes.append(size)
-    return sorted(sizes)
-
-
-class TestUnionFind:
-    def test_against_traversal_on_random_subsets(self):
-        rng = np.random.default_rng(71)
-        for _ in range(25):
-            side = int(rng.integers(2, 6))
-            lat = build_square_lattice(side, "open")
-            n = lat.n_sites
-            active = set(int(s) for s in np.nonzero(rng.random(n) < 0.7)[0])
-            uf = UnionFindState(n, all_active=False)
-            # Interleave activations and bond additions in random order to
-            # exercise the pending-bond bookkeeping.
-            events = [("site", s) for s in active]
-            events += [
-                ("bond", tuple(b))
-                for b in lat.bonds.tolist()
-                if rng.random() < 0.7
-            ]
-            order = rng.permutation(len(events))
-            live_bonds = []
-            for i in order:
-                kind, payload = events[int(i)]
-                if kind == "site":
-                    uf.activate_site(payload)
-                else:
-                    u, v = payload
-                    uf.add_bond(u, v)
-                    if u in active and v in active:
-                        live_bonds.append((u, v))
-            expected = bfs_cluster_sizes(n, active, live_bonds)
-            got = sorted(uf.cluster_sizes().values())
-            assert got == expected
-            if expected:
-                assert uf.largest == expected[-1]
-
-    def test_largest_monotone(self):
-        lat = build_square_lattice(8, "open")
-        for mode in ("bond", "site-bond"):
-            record = run_trial(lat, PercModel(mode=mode), seed=5)
-            assert all(b >= a for a, b in zip(record, record[1:]))
+        clusters.append(cluster)
+    return clusters
 
 
 class TestRunTrial:
@@ -150,6 +109,41 @@ class TestRunTrial:
             record = run_trial(lat, PercModel(mode=mode), seed=9)
             assert record.max() == lat.n_sites
             assert record.min() >= 0
+
+    def test_largest_monotone(self):
+        lat = build_square_lattice(8, "open")
+        for mode in ("bond", "site-bond"):
+            record = run_trial(lat, PercModel(mode=mode), seed=5)
+            assert all(b >= a for a, b in zip(record, record[1:]))
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("mode", ["bond", "site-bond"])
+    def test_every_step_against_traversal(self, mode, boundary):
+        """Entry m of both records matches a traversal of the elements
+        added in the first m steps of the trial's random order."""
+        for side, trial in ((2, 0), (3, 1), (4, 2), (5, 3)):
+            lat = build_square_lattice(side, boundary)
+            model = PercModel(mode=mode)
+            n, m_total = lat.n_sites, n_elements(lat, model)
+            fraction = run_trial(lat, model, seed=11, trial=trial)
+            spanning = run_trial(lat, model, 11, trial, observable="spanning")
+            order = trial_rng(11, trial).permutation(m_total).tolist()
+            first, last = set(range(side)), set(range(n - side, n))
+            bond_base = 0 if mode == "bond" else n
+            active = set(range(n)) if mode == "bond" else set()
+            added = []
+            for m in range(m_total + 1):
+                if m > 0:
+                    element = order[m - 1]
+                    if element < bond_base:
+                        active.add(element)
+                    else:
+                        added.append(tuple(lat.bonds[element - bond_base]))
+                live = [(u, v) for u, v in added if u in active and v in active]
+                clusters = bfs_clusters(sorted(active), live)
+                assert fraction[m] == max(map(len, clusters), default=0)
+                spans = any(c & first and c & last for c in clusters)
+                assert spanning[m] == spans
 
     def test_spanning_record_is_indicator(self):
         lat = build_square_lattice(6, "open")
@@ -246,6 +240,38 @@ class TestDeterminism:
         parallel = sweep_curve(lat, model, grid, trials=8, seed=5, workers=3)
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.stderr, parallel.stderr)
+
+    def test_workers_clamped_to_trials_and_cpus(self, monkeypatch):
+        pool_sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(percolation, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(percolation.os, "cpu_count", lambda: 3)
+        lat = build_square_lattice(6, "open")
+        model = PercModel(mode="site-bond")
+        for workers, trials, pool_size in ((64, 5, 3), (64, 2, 2), (2, 5, 2)):
+            serial = sweep_curve(lat, model, [0.7], trials=trials, seed=4)
+            clamped = sweep_curve(
+                lat, model, [0.7], trials=trials, seed=4, workers=workers
+            )
+            assert pool_sizes.pop() == pool_size
+            assert np.array_equal(serial.mean, clamped.mean)
+            assert np.array_equal(serial.stderr, clamped.stderr)
+        monkeypatch.setattr(percolation.os, "cpu_count", lambda: 1)
+        sweep_curve(lat, model, [0.7], trials=5, seed=4, workers=64)
+        assert pool_sizes == []  # one CPU runs the trials in process
 
     def test_distinct_seeds_differ(self):
         lat = build_square_lattice(12, "open")
