@@ -47,6 +47,7 @@ from .percolation import (
     estimate_threshold,
     largest_cluster_curves,
     sweep_curve,
+    sweep_curves,
 )
 
 __version__ = "0.1.0"
@@ -84,4 +85,5 @@ __all__ = [
     "singlet_fidelity",
     "success_probability",
     "sweep_curve",
+    "sweep_curves",
 ]

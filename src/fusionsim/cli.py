@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -56,16 +56,40 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
+def _checked(name: str, hint, value):
+    """``value`` checked against the field annotation ``hint``.
+
+    int, bool and str fields take exactly that type; float fields take
+    any number but a bool and store it as a float; tuple fields take a
+    list or tuple and check each element.
+    """
+    if hint is float:
+        if type(value) not in (int, float):
+            raise ConfigError(f"{name} must be a number, not {value!r}")
+        return float(value)
+    if hint in (int, bool, str):
+        if type(value) is not hint:
+            raise ConfigError(f"{name} must be of type {hint.__name__}, not {value!r}")
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, not {value!r}")
+    item = get_args(hint)[0]  # tuple[item, ...]
+    return tuple(_checked(name, item, v) for v in value)
+
+
 def _merge_config(cls, file_values: dict, flag_values: dict):
-    """File values first, flags override; unknown keys are rejected."""
+    """File values first, flags override; unknown keys are rejected and
+    every value is checked against its field's annotation."""
     known = {f.name for f in fields(cls)}
     unknown = set(file_values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(file_values)
     merged.update({k: v for k, v in flag_values.items() if v is not None})
+    hints = get_type_hints(cls)
+    checked = {k: _checked(k, hints[k], v) for k, v in merged.items()}
     try:
-        return cls(**merged)
+        return cls(**checked)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -240,16 +264,13 @@ class SweepRunConfig:
 
 
 def cmd_sweep(args) -> int:
-    file_values = _load_config_file(args.config)
-    if "grid" in file_values:
-        file_values["grid"] = tuple(float(x) for x in file_values["grid"])
     flag_values = {
         "kind": args.kind,
         "grid": tuple(_parse_grid(args.grid)) if args.grid else None,
         "visibility": args.visibility,
         "seed": args.seed,
     }
-    cfg = _merge_config(SweepRunConfig, file_values, flag_values)
+    cfg = _merge_config(SweepRunConfig, _load_config_file(args.config), flag_values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -320,9 +341,6 @@ class PercolateRunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        integers = (*self.sizes, self.trials, self.seed, self.threads)
-        if any(type(v) is not int for v in integers):
-            raise ValueError("sizes, trials, seed and threads must be integers")
         if len(self.sizes) < 1 or any(s < 2 for s in self.sizes):
             raise ValueError("sizes must all be at least 2")
         if self.mode not in percolation.MODES:
@@ -338,6 +356,8 @@ class PercolateRunConfig:
         steps = (self.p_stop - self.p_start) / self.p_step
         if abs(steps - round(steps)) > 1e-6:
             raise ValueError("p_step must divide p_stop - p_start")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.threads < 1:
             raise ValueError("threads must be positive")
 
@@ -370,11 +390,6 @@ def _curve_rows(curves: dict[int, percolation.SweepCurve]):
 
 
 def cmd_percolate(args) -> int:
-    file_values = _load_config_file(args.config)
-    if "sizes" in file_values:
-        if not isinstance(file_values["sizes"], list):
-            raise ConfigError("config sizes must be a list of lattice sides")
-        file_values["sizes"] = tuple(file_values["sizes"])
     flag_values = {
         "sizes": _parse_sizes(args.sizes) if args.sizes else None,
         "mode": args.mode,
@@ -387,70 +402,66 @@ def cmd_percolate(args) -> int:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigError("percolate --grid wants start:stop:step")
-        flag_values.update(
-            p_start=float(parts[0]), p_stop=float(parts[1]), p_step=float(parts[2])
-        )
-    cfg = _merge_config(PercolateRunConfig, file_values, flag_values)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    grid = cfg.grid()
-
-    fraction_curves = percolation.largest_cluster_curves(
+        try:
+            p_start, p_stop, p_step = map(float, parts)
+        except ValueError as exc:
+            raise ConfigError(f"bad grid {args.grid!r}: {exc}") from exc
+        flag_values.update(p_start=p_start, p_stop=p_stop, p_step=p_step)
+    cfg = _merge_config(PercolateRunConfig, _load_config_file(args.config), flag_values)
+    sweeps = percolation.size_sweeps(
         cfg.sizes,
         cfg.trials,
-        grid,
+        cfg.grid(),
         cfg.seed,
         mode=cfg.mode,
         boundary=cfg.boundary,
-        observable="fraction",
         workers=cfg.threads,
     )
+    fraction_curves = {L: curves["fraction"] for L, curves in sweeps.items()}
+    spanning_curves = {L: curves["spanning"] for L, curves in sweeps.items()}
+
+    # Settled before anything is written, so a run leaves all of its
+    # outputs or none.
+    threshold_payload: dict = {
+        "estimate": None,
+        "method": "unavailable (need at least two sizes)",
+        "sizes": list(cfg.sizes),
+    }
+    if len(cfg.sizes) >= 2:
+        try:
+            estimate = percolation.estimate_threshold(list(spanning_curves.values()))
+        except percolation.NoCrossingError as exc:
+            threshold_payload["method"] = f"unavailable (spanning {exc})"
+        else:
+            threshold_payload = {
+                "estimate": estimate.estimate,
+                "method": estimate.method,
+                "observable": "spanning",
+                "slope_peak": estimate.slope_peak,
+                "grid_step": estimate.grid_step,
+                "sizes": list(estimate.sizes),
+                "crossings": {str(k): v for k, v in estimate.crossings.items()},
+            }
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed")
     _write_table(
         out_dir,
         "curves",
         "largest-cluster v1",
-        ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed"),
+        header,
         _curve_rows(fraction_curves),
         args.format,
-    )
-
-    spanning_curves = percolation.largest_cluster_curves(
-        cfg.sizes,
-        cfg.trials,
-        grid,
-        cfg.seed,
-        mode=cfg.mode,
-        boundary=cfg.boundary,
-        observable="spanning",
-        workers=cfg.threads,
     )
     _write_table(
         out_dir,
         "spanning",
         "spanning-probability v1",
-        ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed"),
+        header,
         _curve_rows(spanning_curves),
         args.format,
     )
-
-    threshold_payload: dict
-    if len(cfg.sizes) >= 2:
-        estimate = percolation.estimate_threshold(list(spanning_curves.values()))
-        threshold_payload = {
-            "estimate": estimate.estimate,
-            "method": estimate.method,
-            "observable": "spanning",
-            "slope_peak": estimate.slope_peak,
-            "grid_step": estimate.grid_step,
-            "sizes": list(estimate.sizes),
-            "crossings": {str(k): v for k, v in estimate.crossings.items()},
-        }
-    else:
-        threshold_payload = {
-            "estimate": None,
-            "method": "unavailable (need at least two sizes)",
-            "sizes": list(cfg.sizes),
-        }
     _write_json(out_dir / "threshold.json", threshold_payload)
     _emit_run_config(out_dir, "percolate", asdict(cfg))
     print(
@@ -474,8 +485,8 @@ class PPNRDRunConfig:
     def __post_init__(self):
         if self.photons < 0:
             raise ValueError("photon number must be non-negative")
-        if not 0.0 <= self.eta_det <= 1.0:
-            raise ValueError("eta_det must lie in [0, 1]")
+        # Range errors of the detector surface as configuration failures.
+        detection.PPNRDConfig(self.fanout, self.eta_det)
 
 
 def cmd_ppnrd(args) -> int:

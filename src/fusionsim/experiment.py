@@ -55,6 +55,9 @@ PORT_ANCILLA_B = 7   # N00N rail meeting BSM output b
 PORT_ANCILLA_B_IN = 8
 PORT_PHASE_AUX = 9   # empty rail used by the polarization-phase gadget
 
+#: Photons of the bench, numbered 1 to N_PHOTONS.
+N_PHOTONS = 8
+
 #: Sentinel accepted by :func:`run_fusion` for the four-pair preparation.
 FULL_PREPARATION = "full"
 
@@ -106,6 +109,10 @@ class ExperimentConfig:
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
         if self.per_photon_overlap is not None:
+            if len(self.per_photon_overlap) != N_PHOTONS:
+                raise ValueError(
+                    f"per_photon_overlap needs one weight per photon ({N_PHOTONS})"
+                )
             if any(not 0.0 <= v <= 1.0 for v in self.per_photon_overlap):
                 raise ValueError("per-photon overlaps must lie in [0, 1]")
 

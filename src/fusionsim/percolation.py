@@ -1,11 +1,14 @@
 """Monte Carlo percolation on the square lattice, tuned for large sizes.
 
 One sweep draws a random order of the elements (bonds, or sites and
-bonds) and adds them one per step; the microcanonical record S_m (largest
-cluster after m additions) is then converted to any fixed occupation
-probability p by a binomial convolution (Newman and Ziff).  This gives the
-whole curve S(p) from a single pass per trial, which is what makes
-1000 x 1000 lattices practical.
+bonds) and adds them one per step; the microcanonical records (largest
+cluster S_m, and whether a cluster spans first to last row, after m
+additions) are then converted to any fixed occupation probability p by a
+binomial convolution (Newman and Ziff).  This gives the whole curve of
+both observables from a single pass per trial, which is what makes
+1000 x 1000 lattices practical.  Each trial is convolved onto the grid as
+soon as it finishes, so memory is O(trials x grid), and the pass stops at
+the last step that any grid point's binomial window reads.
 
 The site-bond mode activates sites and bonds with the same probability:
 a site is a fused node of the growing cluster state and a bond an
@@ -49,6 +52,9 @@ SITE_BOND_EQUAL_THRESHOLD = 0.74045
 
 #: Exact bond-percolation threshold of the square lattice (self-duality).
 BOND_THRESHOLD = 0.5
+
+#: Bonds of the merge order converted to Python lists at a time.
+_MERGE_CHUNK = 1 << 12
 
 BOUNDARIES = ("open", "periodic")
 MODES = ("bond", "site-bond")
@@ -120,82 +126,98 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
+def _merge_order(
+    lattice: Lattice, model: PercModel, seed: int, trial: int, last_step: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The trial's bonds that take effect by ``last_step``, in merge order:
+    (effective steps, endpoint pairs, step of the first site)."""
+    rng = trial_rng(seed, trial)
+    n = lattice.n_sites
+    bonds = lattice.bonds
+    m_total = n_elements(lattice, model)
+    step = np.empty(m_total, dtype=np.int64)
+    step[rng.permutation(m_total)] = np.arange(1, m_total + 1)
+    if model.mode == "bond":
+        site_step, bond_step = np.zeros(n, dtype=np.int64), step
+    else:
+        site_step, bond_step = step[:n], step[n:]
+    key = np.maximum(bond_step, site_step[bonds[:, 0]])
+    np.maximum(key, site_step[bonds[:, 1]], out=key)
+    # cand is ascending, so the stable sort keeps ties in bond order.
+    cand = np.flatnonzero(key <= last_step)
+    ranked = cand[np.argsort(key[cand], kind="stable")]
+    return key[ranked], bonds[ranked], int(site_step.min())
+
+
 def run_trial(
     lattice: Lattice,
     model: PercModel,
     seed: int,
     trial: int = 0,
-    observable: str = "fraction",
-) -> np.ndarray:
+    last_step: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """One microcanonical sweep: element m of the random order is added at
-    step m and entry m of the result records the observable after it.
+    step m, and entry m of each returned record holds an observable after
+    it.  Returns ``(largest, spanning)`` for steps 0..``last_step``
+    (default: the whole sweep of M elements).
 
-    For ``fraction`` the record is the largest-cluster size S_m (entry 0 is
-    1 in bond mode, where isolated sites are clusters, and 0 in site-bond
-    mode, where no site is active yet).  For ``spanning`` the record is the
-    0/1 indicator of a cluster touching both the first and last row.
+    ``largest`` is the largest-cluster size S_m (entry 0 is 1 in bond mode,
+    where isolated sites are clusters, and 0 in site-bond mode, where no
+    site is active yet).  ``spanning`` is the 0/1 indicator of a cluster
+    touching both the first and last row.
 
     Bonds are merged with union by size and path halving in order of
-    effective step (ties in bond order); the fraction record is written
-    where the largest cluster grows and forward-filled, and the spanning
-    record switches on at the first merge that joins the two rows.
+    effective step (ties in bond order), and only bonds that take effect by
+    ``last_step`` are merged at all.  The largest-cluster record is written
+    where the largest cluster grows and forward-filled; the spanning record
+    switches on at the first merge that joins the two rows, after which the
+    row bits are no longer tracked.
     """
-    if observable not in OBSERVABLES:
-        raise ValueError(f"observable must be one of {OBSERVABLES}")
-    rng = trial_rng(seed, trial)
-    n = lattice.n_sites
-    bonds = lattice.bonds
-    m_total = n_elements(lattice, model)
-    order = rng.permutation(m_total)
-    step = np.empty(m_total, dtype=np.int64)
-    step[order] = np.arange(1, m_total + 1)
-    if model.mode == "bond":
-        site_step, bond_step = np.zeros(n, dtype=np.int64), step
-    else:
-        site_step, bond_step = step[:n], step[n:]
-    key = np.maximum.reduce(
-        [bond_step, site_step[bonds[:, 0]], site_step[bonds[:, 1]]]
-    )
-    ranked = np.argsort(key, kind="stable")
-
-    spanning = observable == "spanning"
-    record = np.zeros(m_total + 1, dtype=np.int64)
-    if not spanning:
-        record[site_step.min()] = 1
-    L = lattice.length
+    if last_step is None:
+        last_step = n_elements(lattice, model)
+    keys, ends, first_site = _merge_order(lattice, model, seed, trial, last_step)
+    largest = np.zeros(last_step + 1, dtype=np.int64)
+    spanning = np.zeros(last_step + 1, dtype=np.int64)
+    if first_site <= last_step:
+        largest[first_site] = 1
+    n, L = lattice.n_sites, lattice.length
     # Bit 1 marks a cluster touching the first row, bit 2 the last row.
     rows = [0] * n
     rows[:L] = [1] * L
     rows[n - L :] = [2] * L
+    spans = False
     parent = list(range(n))
     size = [1] * n
-    largest = 1
-    for k, u, v in zip(
-        key[ranked].tolist(), bonds[ranked, 0].tolist(), bonds[ranked, 1].tolist()
-    ):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        if size[u] < size[v]:
-            u, v = v, u
-        parent[v] = u
-        size[u] += size[v]
-        if spanning:
-            rows[u] |= rows[v]
-            if rows[u] == 3:
-                record[k:] = 1  # spanning is monotone under additions
-                break
-        elif size[u] > largest:
-            largest = size[u]
-            record[k] = largest
-    if not spanning:
-        np.maximum.accumulate(record, out=record)
-    return record
+    biggest = 1
+    # The merge order becomes Python lists one chunk at a time, which
+    # bounds their memory at large sizes.
+    for lo in range(0, len(keys), _MERGE_CHUNK):
+        hi = lo + _MERGE_CHUNK
+        for k, u, v in zip(
+            keys[lo:hi].tolist(), ends[lo:hi, 0].tolist(), ends[lo:hi, 1].tolist()
+        ):
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u == v:
+                continue
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            if not spans:
+                rows[u] |= rows[v]
+                if rows[u] == 3:
+                    spanning[k:] = 1  # spanning is monotone under additions
+                    spans = True
+            if size[u] > biggest:
+                biggest = size[u]
+                largest[k] = biggest
+    np.maximum.accumulate(largest, out=largest)
+    return largest, spanning
 
 
 def binomial_window(m_total: int, p: float) -> tuple[int, np.ndarray]:
@@ -268,74 +290,103 @@ class SweepCurve:
         return float(self.mean[matches[0]])
 
 
-def _records_to_values(
-    records: Sequence[np.ndarray], p_grid: np.ndarray, normalizer: float
-) -> np.ndarray:
-    m_total = len(records[0]) - 1
-    windows = [binomial_window(m_total, float(p)) for p in p_grid]
-    values = np.empty((len(records), len(p_grid)))
-    for i, record in enumerate(records):
-        if len(record) != m_total + 1:
-            raise ValueError("records have mismatched element counts")
-        for j, (start, weights) in enumerate(windows):
-            values[i, j] = weights @ record[start : start + len(weights)]
-    return values / normalizer
-
-
-def convolve_binomial(
-    records: Sequence[np.ndarray],
-    p_grid: Sequence[float],
+def _trial_values(
     lattice: Lattice,
     model: PercModel,
-    observable: str = "fraction",
-    seed: int = 0,
-) -> SweepCurve:
-    """Canonical-ensemble curve from microcanonical records.
+    seed: int,
+    trial: int,
+    windows: Sequence[tuple[int, np.ndarray]],
+    last_step: int,
+) -> tuple[np.ndarray, ...]:
+    """One trial's observables on the grid, in ``OBSERVABLES`` order.
 
-    Every element is occupied independently with the same probability, so
-    the fixed-p observable is the binomial mixture of the per-step records.
-    Means and errors use compensated sums in trial order, making the result
-    bit-identical however the records were computed.
+    Each grid point is the binomial mixture of the per-step record over its
+    window; the records are dropped once they are convolved.
     """
-    p_grid = np.asarray(p_grid, dtype=float)
-    normalizer = lattice.n_sites if observable == "fraction" else 1.0
-    values = _records_to_values(records, p_grid, normalizer)
-    n_trials = len(records)
-    mean = np.array([math.fsum(values[:, j]) / n_trials for j in range(len(p_grid))])
-    if n_trials > 1:
-        stderr = np.array(
-            [
-                math.sqrt(
-                    math.fsum((values[:, j] - mean[j]) ** 2)
-                    / (n_trials - 1)
-                    / n_trials
-                )
-                for j in range(len(p_grid))
-            ]
+    records = run_trial(lattice, model, seed, trial, last_step=last_step)
+    return tuple(
+        np.array(
+            [weights @ record[start : start + len(weights)] for start, weights in windows]
         )
-    else:
-        stderr = np.zeros(len(p_grid))
-    return SweepCurve(
-        length=lattice.length,
-        boundary=lattice.boundary,
-        mode=model.mode,
-        observable=observable,
-        p_grid=p_grid,
-        mean=mean,
-        stderr=stderr,
-        trials=n_trials,
-        seed=seed,
+        for record in records
     )
 
 
-def _sweep_chunk(args) -> list[np.ndarray]:
-    length, boundary, mode, seed, trials, observable = args
-    lattice = build_square_lattice(length, boundary)
-    model = PercModel(mode=mode)
+def _sweep_chunk(args) -> list[tuple[np.ndarray, ...]]:
+    lattice, model, seed, trials, windows, last_step = args
     return [
-        run_trial(lattice, model, seed, trial=t, observable=observable)
-        for t in trials
+        _trial_values(lattice, model, seed, t, windows, last_step) for t in trials
     ]
+
+
+def sweep_curves(
+    lattice: Lattice,
+    model: PercModel,
+    p_grid: Sequence[float],
+    trials: int,
+    seed: int,
+    workers: int = 1,
+) -> dict[str, SweepCurve]:
+    """Monte Carlo sweep: ``trials`` independent microcanonical passes
+    convolved onto ``p_grid``, one curve per observable.
+
+    Every element is occupied independently with the same probability, so
+    the fixed-p observable is the binomial mixture of the per-step records.
+    One pass per trial yields both observables; each trial is convolved as
+    it finishes, so memory is O(trials x grid), and the pass stops at the
+    last step any grid window reads.  Trials are keyed by (seed, trial
+    index) and aggregated in index order with compensated sums, so the
+    curves are bit-identical for any worker count.  The worker count is
+    clamped to the trial count and the CPU count.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    p_grid = np.asarray(p_grid, dtype=float)
+    m_total = n_elements(lattice, model)
+    windows = [binomial_window(m_total, float(p)) for p in p_grid]
+    last_step = max(start + len(weights) - 1 for start, weights in windows)
+    workers = min(workers, trials, os.cpu_count() or 1)
+    if workers <= 1:
+        rows = [
+            _trial_values(lattice, model, seed, t, windows, last_step)
+            for t in range(trials)
+        ]
+    else:
+        chunks = [
+            (lattice, model, seed, range(i, trials, workers), windows, last_step)
+            for i in range(workers)
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_sweep_chunk, chunks))
+        # Chunk i holds trials i, i + workers, ...
+        rows = [partials[t % workers][t // workers] for t in range(trials)]
+    curves = {}
+    for i, observable in enumerate(OBSERVABLES):
+        values = np.array([row[i] for row in rows])
+        if observable == "fraction":
+            values = values / lattice.n_sites
+        mean = np.array([math.fsum(column) / trials for column in values.T])
+        if trials > 1:
+            stderr = np.array(
+                [
+                    math.sqrt(math.fsum((column - m) ** 2) / (trials - 1) / trials)
+                    for column, m in zip(values.T, mean)
+                ]
+            )
+        else:
+            stderr = np.zeros(len(p_grid))
+        curves[observable] = SweepCurve(
+            length=lattice.length,
+            boundary=lattice.boundary,
+            mode=model.mode,
+            observable=observable,
+            p_grid=p_grid,
+            mean=mean,
+            stderr=stderr,
+            trials=trials,
+            seed=seed,
+        )
+    return curves
 
 
 def sweep_curve(
@@ -347,42 +398,10 @@ def sweep_curve(
     observable: str = "fraction",
     workers: int = 1,
 ) -> SweepCurve:
-    """Monte Carlo sweep: ``trials`` independent microcanonical passes
-    convolved onto ``p_grid``.
-
-    Trials are keyed by (seed, trial index) and aggregated in index order,
-    so the curve is identical for any worker count.  The worker count is
-    clamped to the trial count and the CPU count.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    workers = min(workers, trials, os.cpu_count() or 1)
-    indices = list(range(trials))
-    if workers <= 1:
-        records = [
-            run_trial(lattice, model, seed, trial=t, observable=observable)
-            for t in indices
-        ]
-    else:
-        chunks = [
-            (
-                lattice.length,
-                lattice.boundary,
-                model.mode,
-                seed,
-                indices[i::workers],
-                observable,
-            )
-            for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_sweep_chunk, chunks))
-        records_by_index: dict[int, np.ndarray] = {}
-        for chunk, recs in zip(chunks, partials):
-            for t, rec in zip(chunk[4], recs):
-                records_by_index[t] = rec
-        records = [records_by_index[t] for t in indices]
-    return convolve_binomial(records, p_grid, lattice, model, observable, seed=seed)
+    """The ``observable`` curve of :func:`sweep_curves`."""
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}")
+    return sweep_curves(lattice, model, p_grid, trials, seed, workers)[observable]
 
 
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
@@ -449,6 +468,10 @@ def direct_monte_carlo(
     return mean, stderr
 
 
+class NoCrossingError(ValueError):
+    """A curve that never crosses one half on its grid."""
+
+
 @dataclass(frozen=True)
 class ThresholdEstimate:
     """Crossing-based threshold with a slope-peak diagnostic."""
@@ -469,7 +492,7 @@ def _half_crossing(p_grid: np.ndarray, mean: np.ndarray) -> float:
         return float((p_grid[flat[0]] + p_grid[flat[-1]]) / 2.0)
     below = np.nonzero(mean < level)[0]
     if len(below) == 0 or below[-1] + 1 >= len(mean):
-        raise ValueError("curve never crosses 0.5 on the grid")
+        raise NoCrossingError("curve never crosses 0.5 on the grid")
     i = below[-1]
     p0, p1 = p_grid[i], p_grid[i + 1]
     y0, y1 = mean[i], mean[i + 1]
@@ -488,7 +511,8 @@ def estimate_threshold(curves: Sequence[SweepCurve]) -> ThresholdEstimate:
 
     The secondary slope-peak location is reported as a diagnostic; with at
     least two sizes the crossings of the smaller sizes come along for
-    finite-size comparisons.
+    finite-size comparisons.  Raises :class:`NoCrossingError` when any
+    curve never crosses one half on its grid.
     """
     if len(curves) < 2:
         raise ValueError("need curves for at least two lattice sizes")
@@ -506,6 +530,34 @@ def estimate_threshold(curves: Sequence[SweepCurve]) -> ThresholdEstimate:
     )
 
 
+def size_sweeps(
+    sizes: Sequence[int],
+    trials: int,
+    p_grid: Sequence[float],
+    seed: int,
+    mode: str = "site-bond",
+    boundary: str = "open",
+    workers: int = 1,
+) -> dict[int, dict[str, SweepCurve]]:
+    """Both observables' curves for each lattice size, one sweep per size.
+
+    Per-size seeds are derived from the master seed and the size so curves
+    are independent and reproducible individually.
+    """
+    model = PercModel(mode=mode)
+    return {
+        length: sweep_curves(
+            build_square_lattice(length, boundary),
+            model,
+            p_grid,
+            trials,
+            seed=seed + length,
+            workers=workers,
+        )
+        for length in sizes
+    }
+
+
 def largest_cluster_curves(
     sizes: Sequence[int],
     trials: int,
@@ -516,22 +568,9 @@ def largest_cluster_curves(
     observable: str = "fraction",
     workers: int = 1,
 ) -> dict[int, SweepCurve]:
-    """One sweep curve per lattice size, larger sizes turning on harder.
-
-    Per-size seeds are derived from the master seed and the size so curves
-    are independent and reproducible individually.
-    """
-    model = PercModel(mode=mode)
-    out: dict[int, SweepCurve] = {}
-    for length in sizes:
-        lattice = build_square_lattice(length, boundary)
-        out[length] = sweep_curve(
-            lattice,
-            model,
-            p_grid,
-            trials,
-            seed=seed + length,
-            observable=observable,
-            workers=workers,
-        )
-    return out
+    """The ``observable`` curve of :func:`size_sweeps` for each size;
+    larger sizes turn on harder."""
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}")
+    sweeps = size_sweeps(sizes, trials, p_grid, seed, mode, boundary, workers)
+    return {length: curves[observable] for length, curves in sweeps.items()}

@@ -2,11 +2,19 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionsim import detection, experiment
-from fusionsim.cli import main
+from fusionsim.cli import (
+    PercolateRunConfig,
+    PPNRDRunConfig,
+    RateRunConfig,
+    main,
+)
 
 
 def read(path):
@@ -188,12 +196,25 @@ class TestPercolateCommand:
         assert main(["percolate", "--grid", "0.4:0.9:0.03", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_never_crossing_grid_writes_null_threshold(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["percolate", "--sizes", "6,8", "--trials", "2",
+                "--grid", "0.1:0.2:0.05", "--out", str(out)]
+        assert main(args) == 0
+        threshold = json.loads((out / "threshold.json").read_text())
+        assert threshold["estimate"] is None
+        assert "never crosses" in threshold["method"]
+        for name in ("curves.csv", "spanning.csv", "run_config.json"):
+            assert (out / name).exists()
+
     @pytest.mark.parametrize(
         "flags, config",
         [
             (["--sizes", "10,abc"], None),
             ([], {"trials": 2.5}),
             ([], {"sizes": 5}),
+            (["--sizes", "4,6", "--seed", "-20"], None),
+            (["--grid", "0.4:x:0.1"], None),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, flags, config):
@@ -226,3 +247,77 @@ class TestSmallCommands:
 
     def test_ppnrd_validation_exit_2(self, tmp_path):
         assert main(["ppnrd", "--n", "-2", "--out", str(tmp_path)]) == 2
+
+
+def write_config(tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("rate", {"fold": 2.5}),
+        ("rate", {"eta": True}),
+        ("ppnrd", {"photons": 2.5}),
+        ("ppnrd", {"fanout": 0}),
+        ("fusion", {"seed": "1"}),
+        ("fusion", {"ancilla": 1}),
+        ("sweep", {"grid": [0.1, "x"]}),
+        ("percolate", {"sizes": [10, 12.0]}),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, command, config):
+    out = tmp_path / "run"
+    args = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
+def test_integer_in_float_field_is_accepted(tmp_path):
+    out = tmp_path / "run"
+    config = write_config(tmp_path, {"attempts": 1000, "eta": 1, "fold": 2})
+    assert main(["rate", "--config", config, "--out", str(out)]) == 0
+    payload = json.loads((out / "rate.json").read_text())
+    assert payload["rate_hz"] == 1000.0
+
+
+def hostile(max_int=8):
+    """A fixed pool of malformed JSON values plus small integers."""
+    return st.one_of(
+        st.sampled_from([2.5, "x", None, True, -1, [], {}]),
+        st.integers(min_value=0, max_value=max_int),
+    )
+
+
+def hostile_configs(cls, **limits):
+    """JSON objects over the fields of ``cls`` with hostile values;
+    ``limits`` caps the integers drawn for a field."""
+    return st.fixed_dictionaries(
+        {}, optional={f.name: hostile(limits.get(f.name, 8)) for f in fields(cls)}
+    )
+
+
+@pytest.mark.parametrize(
+    "command, configs, flags",
+    [
+        ("rate", hostile_configs(RateRunConfig), []),
+        ("ppnrd", hostile_configs(PPNRDRunConfig), []),
+        (
+            "percolate",
+            hostile_configs(PercolateRunConfig, trials=3),
+            ["--grid", "0.5:0.9:0.2"],
+        ),
+    ],
+)
+def test_hostile_config_exits_0_or_2(tmp_path_factory, command, configs, flags):
+    @settings(max_examples=30, deadline=None)
+    @given(config=configs)
+    def run(config):
+        tmp = tmp_path_factory.mktemp(command)
+        args = [command, *flags, "--config", write_config(tmp, config),
+                "--out", str(tmp / "run")]
+        assert main(args) in (0, 2)
+
+    run()

@@ -589,6 +589,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(per_photon_overlap=(0.5, 1.5))
 
+    @pytest.mark.parametrize("count", [0, 2, 7, 9])
+    def test_per_photon_overlap_needs_one_weight_per_photon(self, count):
+        with pytest.raises(ValueError, match="one weight per photon"):
+            ExperimentConfig(per_photon_overlap=(0.9,) * count)
+
     def test_monotone_success_weight_decreases(self):
         # The bunched branch of an even-parity input loses weight as the
         # fused photons grow distinguishable.

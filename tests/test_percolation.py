@@ -1,6 +1,7 @@
 """Kruskal sweep, binomial convolution, and threshold estimation."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -15,7 +16,6 @@ from fusionsim.percolation import (
     SweepCurve,
     binomial_window,
     build_square_lattice,
-    convolve_binomial,
     direct_monte_carlo,
     estimate_threshold,
     largest_cluster_curves,
@@ -23,6 +23,7 @@ from fusionsim.percolation import (
     n_elements,
     run_trial,
     sweep_curve,
+    sweep_curves,
     trial_rng,
 )
 
@@ -90,43 +91,42 @@ def bfs_clusters(active_sites, live_bonds):
 class TestRunTrial:
     def test_bond_mode_boundaries(self):
         lat = build_square_lattice(6, "open")
-        record = run_trial(lat, PercModel(mode="bond"), seed=1)
-        assert len(record) == lat.n_bonds + 1
-        assert record[0] == 1  # isolated sites are clusters
-        assert record[-1] == lat.n_sites
+        largest, spanning = run_trial(lat, PercModel(mode="bond"), seed=1)
+        assert len(largest) == len(spanning) == lat.n_bonds + 1
+        assert largest[0] == 1  # isolated sites are clusters
+        assert largest[-1] == lat.n_sites
 
     def test_site_bond_boundaries(self):
         lat = build_square_lattice(6, "open")
         model = PercModel(mode="site-bond")
-        record = run_trial(lat, model, seed=1)
-        assert len(record) == n_elements(lat, model) + 1
-        assert record[0] == 0  # nothing active yet
-        assert record[-1] == lat.n_sites
+        largest, spanning = run_trial(lat, model, seed=1)
+        assert len(largest) == len(spanning) == n_elements(lat, model) + 1
+        assert largest[0] == 0  # nothing active yet
+        assert largest[-1] == lat.n_sites
 
     def test_record_bounded_by_sites(self):
         lat = build_square_lattice(5, "periodic")
         for mode in ("bond", "site-bond"):
-            record = run_trial(lat, PercModel(mode=mode), seed=9)
-            assert record.max() == lat.n_sites
-            assert record.min() >= 0
+            largest, _ = run_trial(lat, PercModel(mode=mode), seed=9)
+            assert largest.max() == lat.n_sites
+            assert largest.min() >= 0
 
     def test_largest_monotone(self):
         lat = build_square_lattice(8, "open")
         for mode in ("bond", "site-bond"):
-            record = run_trial(lat, PercModel(mode=mode), seed=5)
-            assert all(b >= a for a, b in zip(record, record[1:]))
+            largest, _ = run_trial(lat, PercModel(mode=mode), seed=5)
+            assert all(b >= a for a, b in zip(largest, largest[1:]))
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("mode", ["bond", "site-bond"])
     def test_every_step_against_traversal(self, mode, boundary):
-        """Entry m of both records matches a traversal of the elements
-        added in the first m steps of the trial's random order."""
+        """Entry m of both records of the pair matches a traversal of the
+        elements added in the first m steps of the trial's random order."""
         for side, trial in ((2, 0), (3, 1), (4, 2), (5, 3)):
             lat = build_square_lattice(side, boundary)
             model = PercModel(mode=mode)
             n, m_total = lat.n_sites, n_elements(lat, model)
-            fraction = run_trial(lat, model, seed=11, trial=trial)
-            spanning = run_trial(lat, model, 11, trial, observable="spanning")
+            largest, spanning = run_trial(lat, model, seed=11, trial=trial)
             order = trial_rng(11, trial).permutation(m_total).tolist()
             first, last = set(range(side)), set(range(n - side, n))
             bond_base = 0 if mode == "bond" else n
@@ -141,23 +141,28 @@ class TestRunTrial:
                         added.append(tuple(lat.bonds[element - bond_base]))
                 live = [(u, v) for u, v in added if u in active and v in active]
                 clusters = bfs_clusters(sorted(active), live)
-                assert fraction[m] == max(map(len, clusters), default=0)
+                assert largest[m] == max(map(len, clusters), default=0)
                 spans = any(c & first and c & last for c in clusters)
                 assert spanning[m] == spans
 
+    @pytest.mark.parametrize("mode", ["bond", "site-bond"])
+    def test_last_step_truncates_the_full_records(self, mode):
+        lat = build_square_lattice(7, "periodic")
+        model = PercModel(mode=mode)
+        full = run_trial(lat, model, seed=8, trial=2)
+        for k in (0, 1, 17, n_elements(lat, model) // 2, n_elements(lat, model)):
+            cut = run_trial(lat, model, seed=8, trial=2, last_step=k)
+            for short, whole in zip(cut, full):
+                assert np.array_equal(short, whole[: k + 1])
+
     def test_spanning_record_is_indicator(self):
         lat = build_square_lattice(6, "open")
-        record = run_trial(lat, PercModel(), seed=3, observable="spanning")
+        _, record = run_trial(lat, PercModel(), seed=3)
         assert set(np.unique(record)) <= {0, 1}
         assert record[-1] == 1
         # once spanning, always spanning
         first = int(np.argmax(record == 1))
         assert record[first:].min() == 1
-
-    def test_bad_observable(self):
-        lat = build_square_lattice(4, "open")
-        with pytest.raises(ValueError):
-            run_trial(lat, PercModel(), seed=0, observable="mass")
 
 
 class TestBinomialWindow:
@@ -186,26 +191,60 @@ class TestConvolution:
     def test_endpoint_values(self):
         lat = build_square_lattice(8, "open")
         model = PercModel(mode="site-bond")
-        records = [run_trial(lat, model, seed=2, trial=t) for t in range(4)]
-        curve = convolve_binomial(records, [0.0, 1.0], lat, model)
+        curve = sweep_curve(lat, model, [0.0, 1.0], trials=4, seed=2)
         assert abs(curve.mean[0]) < 1e-12
         assert abs(curve.mean[1] - 1.0) < 1e-12
 
     def test_bond_mode_at_zero_keeps_isolated_site(self):
         lat = build_square_lattice(8, "open")
         model = PercModel(mode="bond")
-        records = [run_trial(lat, model, seed=2, trial=t) for t in range(2)]
-        curve = convolve_binomial(records, [0.0], lat, model)
+        curve = sweep_curve(lat, model, [0.0], trials=2, seed=2)
         assert abs(curve.mean[0] - 1 / lat.n_sites) < 1e-12
 
     def test_value_at(self):
         lat = build_square_lattice(8, "open")
         model = PercModel(mode="bond")
-        records = [run_trial(lat, model, seed=2, trial=t) for t in range(2)]
-        curve = convolve_binomial(records, [0.25, 0.5], lat, model)
+        curve = sweep_curve(lat, model, [0.25, 0.5], trials=2, seed=2)
         assert curve.value_at(0.5) == curve.mean[1]
         with pytest.raises(ValueError):
             curve.value_at(0.333)
+
+    def test_bad_observable(self):
+        lat = build_square_lattice(4, "open")
+        with pytest.raises(ValueError):
+            sweep_curve(lat, PercModel(), [0.5], trials=1, seed=0, observable="mass")
+
+    def test_one_sweep_yields_both_observables(self):
+        lat = build_square_lattice(9, "open")
+        model = PercModel(mode="site-bond")
+        grid = [0.55, 0.7, 0.85]
+        both = sweep_curves(lat, model, grid, trials=5, seed=3)
+        assert set(both) == {"fraction", "spanning"}
+        for observable, curve in both.items():
+            alone = sweep_curve(lat, model, grid, 5, 3, observable=observable)
+            assert curve.observable == observable
+            assert np.array_equal(curve.mean, alone.mean)
+            assert np.array_equal(curve.stderr, alone.stderr)
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Trials are convolved as they finish: a sweep holds no record
+        per trial, only O(trials x grid) values."""
+        lat = build_square_lattice(100, "open")
+        model = PercModel(mode="site-bond")
+        record_bytes = (n_elements(lat, model) + 1) * 8
+        grid = [0.6, 0.7, 0.8]
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                sweep_curves(lat, model, grid, trials=trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(5), peak(50)
+        assert many < 16 * record_bytes  # 50 trials' records would be 100
+        assert many - few < record_bytes
 
 
 class TestAgreementWithDirectSampling:
