@@ -61,8 +61,11 @@ def _checked(name: str, hint, value):
 
     int, bool and str fields take exactly that type; float fields take
     any number but a bool and store it as a float; tuple fields take a
-    list or tuple and check each element.
+    list or tuple and check each element.  An Optional field is checked as
+    its inner type: its None default cannot be set from outside.
     """
+    if type(None) in get_args(hint):
+        hint = get_args(hint)[0]
     if hint is float:
         if type(value) not in (int, float):
             raise ConfigError(f"{name} must be a number, not {value!r}")
@@ -248,7 +251,7 @@ def cmd_fusion(args) -> int:
 @dataclass(frozen=True)
 class SweepRunConfig:
     kind: str = "phase"
-    grid: tuple[float, ...] = ()
+    grid: Optional[tuple[float, ...]] = None  # None: the kind's default grid
     visibility: float = 1.0
     seed: int = 0
 
@@ -257,8 +260,10 @@ class SweepRunConfig:
             raise ValueError("sweep kind must be 'phase' or 'visibility'")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
+        if self.grid is not None and not self.grid:
+            raise ValueError("sweep grid must hold at least one value")
         if self.kind == "visibility" and any(
-            not 0.0 <= v <= 1.0 for v in self.grid
+            not 0.0 <= v <= 1.0 for v in self.grid or ()
         ):
             raise ValueError("visibility grid values must lie in [0, 1]")
 
@@ -266,7 +271,7 @@ class SweepRunConfig:
 def cmd_sweep(args) -> int:
     flag_values = {
         "kind": args.kind,
-        "grid": tuple(_parse_grid(args.grid)) if args.grid else None,
+        "grid": None if args.grid is None else tuple(_parse_grid(args.grid)),
         "visibility": args.visibility,
         "seed": args.seed,
     }

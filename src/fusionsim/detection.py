@@ -143,15 +143,17 @@ def heralded_mixture(
     result: FusionResult, table: DiscriminationTable, outcome: BellLabel
 ) -> Mixture:
     """Analyzer-photon state heralded by an outcome, as a classical mixture
-    over the contributing patterns and their unresolved detector branches."""
+    over the contributing patterns and their unresolved detector branches.
+
+    Each branch keeps its weight from the fusion run, the joint probability
+    of its pattern and detector occupation, so every pattern enters in
+    proportion to its probability."""
     if result.conditional_states is None:
         raise ValueError("heralded states need a full-preparation fusion run")
     mixture: Mixture = []
-    for pattern, prob in sorted(result.pattern_probs.items()):
-        if table.outcome(pattern) is not outcome:
-            continue
-        for weight, state in result.conditional_states.get(pattern, []):
-            mixture.append((prob * weight, state))
+    for pattern in sorted(result.pattern_probs):
+        if table.outcome(pattern) is outcome:
+            mixture.extend(result.conditional_states.get(pattern, []))
     if not mixture:
         raise ValueError(f"no patterns herald {outcome}")
     return mixture

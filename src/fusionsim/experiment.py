@@ -39,6 +39,7 @@ from .fock import (
     apply_network,
     compose,
     create_photons,
+    partition,
     pattern_distribution,
     project_port_counts,
     superpose,
@@ -314,7 +315,8 @@ class FusionResult:
     to probabilities (summing to 1).  For full-preparation runs,
     ``conditional_states`` holds, per detected pattern, the heralded state
     of the analyzer photons as a classical mixture over the detector's
-    unresolved flavor outcomes.
+    unresolved flavor outcomes; each weight is the joint probability of the
+    pattern and that outcome, so a pattern's weights sum to its probability.
     """
 
     input_label: str
@@ -403,48 +405,25 @@ def run_fusion(
     if not track_conditionals:
         return FusionResult(label, config, groups, pattern_distribution(state, groups))
 
-    # Bucket amplitudes by (flavor-blind pattern, exact detector occupation):
-    # distinct detector occupations are orthogonal once the detectors fire,
-    # so each bucket contributes one pure heralded state to the mixture.
-    group_of = {(port, pol): gi for gi, (port, pol) in enumerate(groups)}
-    n_groups = len(groups)
-    buckets: dict[tuple[int, ...], dict[tuple, dict]] = {}
+    # Split each heralded part by exact detector occupation: distinct
+    # detector occupations are orthogonal once the detectors fire, so each
+    # contributes one pure heralded state to the mixture.
+    detected_modes = set(groups)
     probs: dict[tuple[int, ...], float] = {}
-    wanted: dict[tuple[int, ...], bool] = {}
-    for occ, amp in state.terms.items():
-        counts = [0] * n_groups
-        detected = []
-        kept = []
-        for entry in occ:
-            mode, n = entry
-            gi = group_of.get((mode.port, mode.pol))
-            if gi is None:
-                kept.append(entry)
-            else:
-                counts[gi] += n
-                detected.append(entry)
-        pattern = tuple(counts)
-        probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
-        keep = wanted.get(pattern)
-        if keep is None:
-            keep = conditional_filter is None or bool(conditional_filter(pattern))
-            wanted[pattern] = keep
-        if keep:
-            branch = buckets.setdefault(pattern, {}).setdefault(tuple(detected), {})
-            key = tuple(kept)
-            branch[key] = branch.get(key, 0j) + amp
-
     conditionals: dict[tuple[int, ...], Mixture] = {}
-    for pattern, branches in buckets.items():
-        mixture: Mixture = []
-        for terms in branches.values():
-            weight = math.fsum(abs(a) ** 2 for a in terms.values())
-            if weight <= 0.0:
-                continue
-            scale = 1.0 / math.sqrt(weight)
-            mixture.append(
-                (weight, FockState({occ: a * scale for occ, a in terms.items()}))
-            )
+    for pattern, part in partition(state, groups).items():
+        probs[pattern] = part.norm_squared()
+        if conditional_filter is not None and not conditional_filter(pattern):
+            continue
+        branches: dict[tuple, dict] = {}
+        for occ, amp in part.terms.items():
+            detected = tuple(e for e in occ if (e[0].port, e[0].pol) in detected_modes)
+            kept = tuple(e for e in occ if (e[0].port, e[0].pol) not in detected_modes)
+            branches.setdefault(detected, {})[kept] = amp
+        mixture: Mixture = [
+            (branch.norm_squared(), branch.normalized())
+            for branch in map(FockState, branches.values())
+        ]
         mixture.sort(key=lambda item: (-item[0], [occ for occ, _ in item[1].items()]))
         conditionals[pattern] = mixture
     return FusionResult(label, config, groups, probs, conditionals)

@@ -9,6 +9,11 @@ Partially distinguishable photons are superpositions of flavor 0 and a
 private flavor; the elements below never mix flavors, so distinguishability
 propagates exactly through any circuit.
 
+Detectors are flavor-blind: :func:`partition` splits a state by the photon
+counts its detection groups see, and every Fock-state measurement (pattern
+distributions, port-count projections, heralded branches) is read off the
+parts.
+
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
 photon number.  The beam splitter uses the real symmetric convention
@@ -371,7 +376,10 @@ def apply_op(state: FockState, op: ElementaryOp) -> FockState:
         for mono, weight in expansion:
             key = tuple(sorted(spect + mono))
             out[key] = out_get(key, 0j) + amp * weight
-    return FockState._raw({occ: a for occ, a in out.items() if abs(a) > PRUNE_EPS})
+    # Pruned in place: a filtered copy would double the peak term storage.
+    for occ in [occ for occ, a in out.items() if abs(a) <= PRUNE_EPS]:
+        del out[occ]
+    return FockState._raw(out)
 
 
 @dataclass(frozen=True)
@@ -397,6 +405,12 @@ def apply_network(state: FockState, network: Network) -> FockState:
 
 # --------------------------------------------------------------------------
 # Measurement-side helpers
+#
+# partition is the one place that counts photons per detection group; the
+# pattern distribution, the port-count projection and the heralded branches
+# of experiment.run_fusion are read off its parts.  post_select conditions
+# on exact mode counts by its own loop, so tests can check the heralded
+# branches against it.
 # --------------------------------------------------------------------------
 
 
@@ -425,31 +439,6 @@ def post_select(
     return FockState({occ: amp * scale for occ, amp in kept.items()}), prob
 
 
-def project_port_counts(
-    state: FockState, counts: Mapping[int, int]
-) -> tuple[FockState, float]:
-    """Project onto fixed total photon number per port (any pol, any flavor).
-
-    Unlike :func:`post_select` the projected modes are kept, so the result
-    can keep evolving; this models heralding on a coincidence without
-    destroying the photons.
-    """
-    kept: dict[Occupation, complex] = {}
-    prob = 0.0
-    for occ, amp in state.terms.items():
-        per_port: dict[int, int] = {}
-        for mode, n in occ:
-            per_port[mode.port] = per_port.get(mode.port, 0) + n
-        if any(per_port.get(port, 0) != n for port, n in counts.items()):
-            continue
-        prob += abs(amp) ** 2
-        kept[occ] = amp
-    if prob == 0.0:
-        return FockState({}), 0.0
-    scale = 1.0 / math.sqrt(prob)
-    return FockState({occ: amp * scale for occ, amp in kept.items()}), prob
-
-
 #: A detection group: spatial port plus polarization, or a whole port
 #: when the polarization slot is None.  Detectors cannot resolve flavor.
 Group = tuple[int, Union[str, None]]
@@ -467,26 +456,51 @@ def _group_index(groups: Sequence[Group]):
     return table
 
 
-def pattern_distribution(
+def partition(
     state: FockState, groups: Sequence[Group]
-) -> dict[tuple[int, ...], float]:
-    """Flavor-blind photon-number distribution over detection groups.
+) -> dict[tuple[int, ...], FockState]:
+    """Split a state by its flavor-blind photon counts over detection groups.
 
     Occupations are summed over flavor (and over polarization for
-    port-only groups) before binning; modes outside every group are
-    marginalized.  For a normalized state the probabilities sum to 1.
+    port-only groups); modes outside every group are not counted.  Each
+    term lands, unchanged, in the part keyed by its counts, so the parts
+    are orthogonal and their squared norms sum to the state's.
     """
     table = _group_index(groups)
-    dist: dict[tuple[int, ...], float] = {}
+    parts: dict[tuple[int, ...], dict[Occupation, complex]] = {}
     for occ, amp in state.terms.items():
         counts = [0] * len(groups)
         for mode, n in occ:
             gi = table.get((mode.port, mode.pol))
             if gi is not None:
                 counts[gi] += n
-        key = tuple(counts)
-        dist[key] = dist.get(key, 0.0) + abs(amp) ** 2
-    return dist
+        parts.setdefault(tuple(counts), {})[occ] = amp
+    return {key: FockState._raw(terms) for key, terms in parts.items()}
+
+
+def pattern_distribution(
+    state: FockState, groups: Sequence[Group]
+) -> dict[tuple[int, ...], float]:
+    """Flavor-blind photon-number distribution over detection groups: the
+    squared norm of each :func:`partition` part.  Modes outside every
+    group are marginalized; for a normalized state the probabilities sum
+    to 1."""
+    return {key: part.norm_squared() for key, part in partition(state, groups).items()}
+
+
+def project_port_counts(
+    state: FockState, counts: Mapping[int, int]
+) -> tuple[FockState, float]:
+    """Project onto fixed total photon number per port (any pol, any flavor).
+
+    Unlike :func:`post_select` the projected modes are kept, so the result
+    can keep evolving; this models heralding on a coincidence without
+    destroying the photons.
+    """
+    part = partition(state, [(port, None) for port in counts]).get(
+        tuple(counts.values()), FockState({})
+    )
+    return part.normalized(), part.norm_squared()
 
 
 def compose(*states: FockState) -> FockState:

@@ -345,21 +345,18 @@ def sweep_curves(
     m_total = n_elements(lattice, model)
     windows = [binomial_window(m_total, float(p)) for p in p_grid]
     last_step = max(start + len(weights) - 1 for start, weights in windows)
-    workers = min(workers, trials, os.cpu_count() or 1)
-    if workers <= 1:
-        rows = [
-            _trial_values(lattice, model, seed, t, windows, last_step)
-            for t in range(trials)
-        ]
+    workers = max(1, min(workers, trials, os.cpu_count() or 1))
+    chunks = [
+        (lattice, model, seed, range(i, trials, workers), windows, last_step)
+        for i in range(workers)
+    ]
+    if workers == 1:
+        partials = list(map(_sweep_chunk, chunks))
     else:
-        chunks = [
-            (lattice, model, seed, range(i, trials, workers), windows, last_step)
-            for i in range(workers)
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_sweep_chunk, chunks))
-        # Chunk i holds trials i, i + workers, ...
-        rows = [partials[t % workers][t // workers] for t in range(trials)]
+    # Chunk i holds trials i, i + workers, ...
+    rows = [partials[t % workers][t // workers] for t in range(trials)]
     curves = {}
     for i, observable in enumerate(OBSERVABLES):
         values = np.array([row[i] for row in rows])

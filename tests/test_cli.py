@@ -130,6 +130,18 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--kind", "spectral", "--out", str(tmp_path)])
 
+    def test_empty_grid_flag_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sweep", "--kind", "phase", "--grid", ",", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_empty_grid_in_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "phase", "grid": []}))
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPercolateCommand:
     ARGS = [

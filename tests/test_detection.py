@@ -30,10 +30,14 @@ from fusionsim.experiment import (
     PORT_KEEP_B,
     BellLabel,
     ExperimentConfig,
+    FusionResult,
+    bell_state,
+    detection_groups,
     pair_correlations,
     run_fusion,
     singlet_fidelity,
 )
+from fusionsim.fock import H, Mode, create_photons
 
 
 def brute_force_clicks(n: int, k: int, eta: float) -> list[float]:
@@ -271,6 +275,28 @@ class TestHeraldedStates:
         fid_pauli = estimate_fidelity_singlet(xx, yy, zz)
         assert abs(fid_direct - 1.0) < 1e-9
         assert abs(fid_pauli - 1.0) < 1e-9
+
+    def test_patterns_weighted_by_their_probability(self):
+        """Branch weights already carry their pattern's probability, so a
+        pattern of probability 0.1 heralding the singlet and one of 0.3
+        heralding a state orthogonal to it give singlet fidelity 0.25."""
+        singlet = bell_state(PORT_KEEP_A, PORT_KEEP_B, BellLabel.PSI_MINUS)
+        product = create_photons([(Mode(PORT_KEEP_A, H), 1), (Mode(PORT_KEEP_B, H), 1)])
+        first, second = (1, 0, 0, 1), (0, 1, 1, 0)
+        config = ExperimentConfig(ancilla_enabled=False)
+        result = FusionResult(
+            FULL_PREPARATION,
+            config,
+            detection_groups(config),
+            {first: 0.1, second: 0.3, (2, 0, 0, 0): 0.6},
+            {first: [(0.1, singlet)], second: [(0.3, product)]},
+        )
+        table = DiscriminationTable(
+            {first: BellLabel.PSI_MINUS, second: BellLabel.PSI_MINUS}, 2
+        )
+        mixture = heralded_mixture(result, table, BellLabel.PSI_MINUS)
+        fidelity = singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B)
+        assert abs(fidelity - 0.25) < 1e-12
 
     def test_requires_full_preparation(self):
         config = ExperimentConfig()

@@ -21,6 +21,7 @@ from fusionsim.fock import (
     compose,
     create_photons,
     occupation,
+    partition,
     pattern_distribution,
     post_select,
     project_port_counts,
@@ -246,6 +247,43 @@ class TestPatternDistribution:
             pattern_distribution(state, [(0, H), (0, None)])
 
 
+class TestPartition:
+    @staticmethod
+    def recount(occ, groups):
+        """Photons each group sees in ``occ``, counted mode by mode."""
+        return tuple(
+            sum(n for m, n in occ if m.port == port and pol in (None, m.pol))
+            for port, pol in groups
+        )
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [(0, H), (0, V), (1, H), (2, V)],
+            [(0, None), (2, None)],
+        ],
+    )
+    def test_random_states(self, groups):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            state = random_state(rng, total=int(rng.integers(1, 6)))
+            parts = partition(state, groups)
+            placed = [
+                (occ, key) for key, part in parts.items() for occ in part.terms
+            ]
+            assert sorted(occ for occ, _ in placed) == sorted(state.terms)
+            for occ, key in placed:
+                assert key == self.recount(occ, groups)
+                assert parts[key].amplitude(occ) == state.amplitude(occ)
+            total = math.fsum(part.norm_squared() for part in parts.values())
+            assert abs(total - state.norm_squared()) < 1e-12
+
+    def test_overlapping_groups_rejected(self):
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError, match="overlap"):
+            partition(random_state(rng), [(1, V), (0, None), (1, None)])
+
+
 class TestInvariants:
     def test_unitarity_on_random_states(self):
         rng = np.random.default_rng(42)
@@ -326,8 +364,8 @@ class TestInvariants:
             compose(five, five)
 
     def test_projection_probability_matches_distribution_marginal(self):
-        """Port-count projection and the flavor-blind distribution are
-        independent code paths; their probabilities must agree."""
+        """Port-count projection and the flavor-blind distribution over
+        whole ports must assign the same probability to a count pattern."""
         rng = np.random.default_rng(46)
         for _ in range(10):
             state = random_state(rng, total=4)
