@@ -39,10 +39,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _outcome_name(outcome: Optional[BellLabel]) -> str:
-    return outcome.value if outcome is not None else "fail"
-
-
 def _load_config_file(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -396,14 +392,14 @@ def _curve_rows(curves: dict[int, percolation.SweepCurve]):
 
 def cmd_percolate(args) -> int:
     flag_values = {
-        "sizes": _parse_sizes(args.sizes) if args.sizes else None,
+        "sizes": None if args.sizes is None else _parse_sizes(args.sizes),
         "mode": args.mode,
         "boundary": args.boundary,
         "trials": args.trials,
         "seed": args.seed,
         "threads": args.threads,
     }
-    if args.grid:
+    if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigError("percolate --grid wants start:stop:step")

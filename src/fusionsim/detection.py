@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .experiment import (
     BellLabel,
     ExperimentConfig,
     FusionResult,
-    Mixture,
     run_fusion,
 )
 
@@ -141,22 +142,23 @@ def classify_click_distribution(
 
 def heralded_mixture(
     result: FusionResult, table: DiscriminationTable, outcome: BellLabel
-) -> Mixture:
-    """Analyzer-photon state heralded by an outcome, as a classical mixture
-    over the contributing patterns and their unresolved detector branches.
+) -> np.ndarray:
+    """Analyzer-photon state heralded by an outcome: the sum of its
+    patterns' unnormalized polarization density matrices, in sorted
+    pattern order.
 
-    Each branch keeps its weight from the fusion run, the joint probability
-    of its pattern and detector occupation, so every pattern enters in
-    proportion to its probability."""
+    Each pattern's matrix has trace equal to the pattern's probability,
+    so every pattern enters in proportion to its probability."""
     if result.conditional_states is None:
         raise ValueError("heralded states need a full-preparation fusion run")
-    mixture: Mixture = []
-    for pattern in sorted(result.pattern_probs):
-        if table.outcome(pattern) is outcome:
-            mixture.extend(result.conditional_states.get(pattern, []))
-    if not mixture:
+    densities = [
+        result.conditional_states[pattern]
+        for pattern in sorted(result.conditional_states)
+        if table.outcome(pattern) is outcome
+    ]
+    if not densities:
         raise ValueError(f"no patterns herald {outcome}")
-    return mixture
+    return sum(densities, np.zeros((4, 4), dtype=complex))
 
 
 @dataclass(frozen=True)

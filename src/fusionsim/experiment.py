@@ -21,9 +21,12 @@ estimators in :mod:`fusionsim.detection`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .fock import (
     H,
@@ -34,6 +37,7 @@ from .fock import (
     HalfWavePlate,
     Mode,
     Network,
+    Occupation,
     PhaseShift,
     PolarizingBeamSplitter,
     apply_network,
@@ -303,27 +307,24 @@ def detection_groups(config: ExperimentConfig) -> tuple[Group, ...]:
     return tuple((port, pol) for port in ports for pol in (H, V))
 
 
-#: Classical mixture of pure states: ((weight, state), ...), weights > 0.
-Mixture = list[tuple[float, FockState]]
-
-
 @dataclass(frozen=True)
 class FusionResult:
     """Exact output statistics of one fusion run.
 
     pattern_probs maps flavor-blind photon-number patterns over ``groups``
     to probabilities (summing to 1).  For full-preparation runs,
-    ``conditional_states`` holds, per detected pattern, the heralded state
-    of the analyzer photons as a classical mixture over the detector's
-    unresolved flavor outcomes; each weight is the joint probability of the
-    pattern and that outcome, so a pattern's weights sum to its probability.
+    ``conditional_states`` holds, per detected pattern, the heralded
+    polarization state of the analyzer photons as an unnormalized 4x4
+    density matrix (see :func:`pair_density`): flavors and the detector's
+    unresolved occupations are traced out, and its trace is the pattern's
+    probability.
     """
 
     input_label: str
     config: ExperimentConfig
     groups: tuple[Group, ...]
     pattern_probs: dict[tuple[int, ...], float]
-    conditional_states: dict[tuple[int, ...], Mixture] | None = None
+    conditional_states: dict[tuple[int, ...], np.ndarray] | None = None
 
     def side_distribution(
         self, side_ports: Sequence[int], total: int
@@ -374,7 +375,7 @@ def _bell_input(label: BellLabel, config: ExperimentConfig) -> FockState:
 
 
 def run_fusion(
-    fusion_input: Union[BellLabel, str],
+    fusion_input: BellLabel | str,
     config: ExperimentConfig,
     conditional_filter=None,
 ) -> FusionResult:
@@ -405,80 +406,83 @@ def run_fusion(
     if not track_conditionals:
         return FusionResult(label, config, groups, pattern_distribution(state, groups))
 
-    # Split each heralded part by exact detector occupation: distinct
-    # detector occupations are orthogonal once the detectors fire, so each
-    # contributes one pure heralded state to the mixture.
-    detected_modes = set(groups)
     probs: dict[tuple[int, ...], float] = {}
-    conditionals: dict[tuple[int, ...], Mixture] = {}
+    conditionals: dict[tuple[int, ...], np.ndarray] = {}
     for pattern, part in partition(state, groups).items():
         probs[pattern] = part.norm_squared()
-        if conditional_filter is not None and not conditional_filter(pattern):
-            continue
-        branches: dict[tuple, dict] = {}
-        for occ, amp in part.terms.items():
-            detected = tuple(e for e in occ if (e[0].port, e[0].pol) in detected_modes)
-            kept = tuple(e for e in occ if (e[0].port, e[0].pol) not in detected_modes)
-            branches.setdefault(detected, {})[kept] = amp
-        mixture: Mixture = [
-            (branch.norm_squared(), branch.normalized())
-            for branch in map(FockState, branches.values())
-        ]
-        mixture.sort(key=lambda item: (-item[0], [occ for occ, _ in item[1].items()]))
-        conditionals[pattern] = mixture
+        if conditional_filter is None or conditional_filter(pattern):
+            conditionals[pattern] = pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
     return FusionResult(label, config, groups, probs, conditionals)
 
 
 # --------------------------------------------------------------------------
 # Two-photon polarization analysis
+#
+# The analyzers only read the polarizations on two ports, so a heralded
+# state reduces to one 4x4 density matrix over (pol_x, pol_y), indexed
+# 2 * pol_x + pol_y with H = 0 and V = 1.
 # --------------------------------------------------------------------------
 
+_POL_INDEX = {H: 0, V: 1}
 
-def _pair_amplitudes(state: FockState, port_x: int, port_y: int):
-    """Amplitude tensor A[(pol_x, pol_y, flavor_x, flavor_y)] for a state
-    holding exactly one photon on each of two ports."""
-    tensor: dict[tuple[str, str, int, int], complex] = {}
+
+def _analyzer_entry(occ: Occupation, port: int) -> int:
+    """Index in ``occ`` of the one photon on ``port``."""
+    # Occupations are sorted by mode, and modes by port first, so a port's
+    # entries are contiguous and ((port,),) sorts just before them.
+    i = bisect_left(occ, ((port,),))
+    if (
+        i == len(occ)
+        or occ[i][0].port != port
+        or occ[i][1] != 1
+        or (i + 1 < len(occ) and occ[i + 1][0].port == port)
+    ):
+        raise ValueError(f"state is not one photon on analyzer port {port}")
+    return i
+
+
+def pair_density(state: FockState, port_x: int, port_y: int) -> np.ndarray:
+    """Polarization density matrix of the photons on two analyzer ports.
+
+    Each port must hold exactly one photon.  Terms are grouped by the
+    occupation of every other mode and the two photons' flavors; each group
+    is a 4-vector over (pol_x, pol_y), and the groups are orthogonal, so
+    rho = sum_k |a_k><a_k| traces out flavors and all other modes.  rho is
+    not normalized: its trace is the state's squared norm.
+    """
+    if port_x == port_y:
+        raise ValueError("analyzer needs two distinct ports")
+    first, second = sorted((port_x, port_y))
+    rows: dict[tuple, int] = {}
+    amps: list[complex] = []
     for occ, amp in state.terms.items():
-        entry: dict[int, Mode] = {}
-        for mode, n in occ:
-            if n != 1 or mode.port in entry:
-                raise ValueError("state is not one photon per analyzer port")
-            entry[mode.port] = mode
-        if set(entry) != {port_x, port_y}:
-            raise ValueError("state has photons outside the analyzer ports")
-        mx, my = entry[port_x], entry[port_y]
-        tensor[(mx.pol, my.pol, mx.flavor, my.flavor)] = amp
-    return tensor
-
-
-def _as_mixture(state: Union[FockState, Mixture]) -> Mixture:
-    if isinstance(state, FockState):
-        return [(1.0, state)]
-    return state
+        i = _analyzer_entry(occ, first)
+        j = _analyzer_entry(occ, second)
+        mx, my = occ[i][0], occ[j][0]
+        if port_x != first:
+            mx, my = my, mx
+        key = (occ[:i] + occ[i + 1 : j] + occ[j + 1 :], mx.flavor, my.flavor)
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = len(rows)
+            amps.extend((0j, 0j, 0j, 0j))
+        amps[4 * row + 2 * _POL_INDEX[mx.pol] + _POL_INDEX[my.pol]] = amp
+    a = np.array(amps, dtype=complex).reshape(-1, 4)
+    return a.T @ a.conj()
 
 
 def pair_projection_prob(
-    state: Union[FockState, Mixture],
+    state: FockState | np.ndarray,
     port_x: int,
     port_y: int,
     target: Mapping[tuple[str, str], complex],
 ) -> float:
-    """Probability of projecting onto a two-photon polarization state,
-    blind to (summed over) the photons' wave packets."""
-    mixture = _as_mixture(state)
-    total_weight = math.fsum(w for w, _ in mixture)
-    result = 0.0
-    for weight, pure in mixture:
-        tensor = _pair_amplitudes(pure, port_x, port_y)
-        flavor_pairs = {(fx, fy) for (_, _, fx, fy) in tensor}
-        prob = 0.0
-        for fx, fy in flavor_pairs:
-            overlap = 0j
-            for (px, py), t in target.items():
-                overlap += t.conjugate() * tensor.get((px, py, fx, fy), 0j)
-            prob += abs(overlap) ** 2
-        result += weight * prob
-    return result / total_weight
+    """Probability of projecting onto a two-photon polarization state t,
+    blind to the photons' wave packets: t^dagger rho t / Tr rho, where rho
+    is a :func:`pair_density` matrix or is built from a given state."""
+    rho = pair_density(state, port_x, port_y) if isinstance(state, FockState) else state
+    t = np.array([target.get((px, py), 0j) for px in (H, V) for py in (H, V)])
+    return float((t.conj() @ rho @ t).real) / float(np.trace(rho).real)
 
 
 SINGLET = {
@@ -487,41 +491,27 @@ SINGLET = {
 }
 
 
-def singlet_fidelity(
-    state: Union[FockState, Mixture], port_x: int, port_y: int
-) -> float:
+def singlet_fidelity(state: FockState | np.ndarray, port_x: int, port_y: int) -> float:
     return pair_projection_prob(state, port_x, port_y, SINGLET)
 
 
-_BASIS_VECTORS = {
-    "X": ((1 / math.sqrt(2) + 0j, 1 / math.sqrt(2) + 0j),
-          (1 / math.sqrt(2) + 0j, -1 / math.sqrt(2) + 0j)),
-    "Y": ((1 / math.sqrt(2) + 0j, 1j / math.sqrt(2)),
-          (1 / math.sqrt(2) + 0j, -1j / math.sqrt(2))),
-    "Z": ((1.0 + 0j, 0j), (0j, 1.0 + 0j)),
-}
+#: Pauli X, Y, Z in the (H, V) basis.
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 def pair_correlations(
-    state: Union[FockState, Mixture], port_x: int, port_y: int
+    state: FockState | np.ndarray, port_x: int, port_y: int
 ) -> tuple[float, float, float]:
-    """(<XX>, <YY>, <ZZ>) of the two analyzer photons, flavor-blind."""
-    out = []
-    for basis in ("X", "Y", "Z"):
-        vectors = _BASIS_VECTORS[basis]
-        corr = 0.0
-        for ix, vx in enumerate(vectors):
-            for iy, vy in enumerate(vectors):
-                target = {
-                    (H, H): vx[0] * vy[0],
-                    (H, V): vx[0] * vy[1],
-                    (V, H): vx[1] * vy[0],
-                    (V, V): vx[1] * vy[1],
-                }
-                sign = 1.0 if ix == iy else -1.0
-                corr += sign * pair_projection_prob(state, port_x, port_y, target)
-        out.append(corr)
-    return tuple(out)  # type: ignore[return-value]
+    """(<XX>, <YY>, <ZZ>) of the two analyzer photons, flavor-blind:
+    Tr(rho sigma x sigma) / Tr rho."""
+    rho = pair_density(state, port_x, port_y) if isinstance(state, FockState) else state
+    trace = float(np.trace(rho).real)
+    xx, yy, zz = (float(np.trace(rho @ np.kron(s, s)).real) / trace for s in _PAULIS)
+    return xx, yy, zz
 
 
 # --------------------------------------------------------------------------
@@ -557,8 +547,11 @@ def hom_visibility(overlap: float) -> float:
 #: per splitter output with opposite polarizations, the singlet signature.
 _SINGLET_HERALDS = ((1, 0, 0, 1), (0, 1, 1, 0))
 
-_PLUS_VEC = {H: 1 / math.sqrt(2) + 0j, V: 1 / math.sqrt(2) + 0j}
-_MINUS_VEC = {H: 1 / math.sqrt(2) + 0j, V: -1 / math.sqrt(2) + 0j}
+#: The diagonal analyzer outcomes as (H, V) amplitude vectors.
+_DIAGONAL = (
+    ("+", np.array([1, 1]) / math.sqrt(2)),
+    ("-", np.array([1, -1]) / math.sqrt(2)),
+)
 
 
 @dataclass(frozen=True)
@@ -583,28 +576,23 @@ def phase_sweep(
         raise ValueError("phase grid must be non-empty")
     if config.ancilla_enabled:
         config = replace(config, ancilla_enabled=False)
-    settings = {
-        "++": (_PLUS_VEC, _PLUS_VEC),
-        "+-": (_PLUS_VEC, _MINUS_VEC),
-        "-+": (_MINUS_VEC, _PLUS_VEC),
-        "--": (_MINUS_VEC, _MINUS_VEC),
+    targets = {
+        sx + sy: np.kron(vx, vy) for sx, vx in _DIAGONAL for sy, vy in _DIAGONAL
     }
     points = []
     for phi in phases:
-        result = run_fusion(FULL_PREPARATION, replace(config, phase=phi))
-        joint = {name: 0.0 for name in settings}
+        result = run_fusion(
+            FULL_PREPARATION,
+            replace(config, phase=phi),
+            conditional_filter=lambda p: p in _SINGLET_HERALDS,
+        )
+        joint = {name: 0.0 for name in targets}
         for pattern in _SINGLET_HERALDS:
-            prob = result.pattern_probs.get(pattern, 0.0)
-            if prob == 0.0:
+            rho = result.conditional_states.get(pattern)
+            if rho is None:
                 continue
-            mixture = result.conditional_states[pattern]
-            for name, (vx, vy) in settings.items():
-                target = {
-                    (px, py): vx[px] * vy[py] for px in (H, V) for py in (H, V)
-                }
-                joint[name] += prob * pair_projection_prob(
-                    mixture, PORT_KEEP_A, PORT_KEEP_B, target
-                )
+            for name, t in targets.items():
+                joint[name] += float((t.conj() @ rho @ t).real)
         points.append(FringePoint(phase=phi, coincidences=joint))
     return points
 

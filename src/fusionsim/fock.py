@@ -11,8 +11,8 @@ propagates exactly through any circuit.
 
 Detectors are flavor-blind: :func:`partition` splits a state by the photon
 counts its detection groups see, and every Fock-state measurement (pattern
-distributions, port-count projections, heralded branches) is read off the
-parts.
+distributions, port-count projections, the heralded parts whose analyzer
+density matrices experiment.pair_density builds) is read off the parts.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -407,10 +407,10 @@ def apply_network(state: FockState, network: Network) -> FockState:
 # Measurement-side helpers
 #
 # partition is the one place that counts photons per detection group; the
-# pattern distribution, the port-count projection and the heralded branches
-# of experiment.run_fusion are read off its parts.  post_select conditions
-# on exact mode counts by its own loop, so tests can check the heralded
-# branches against it.
+# pattern distribution, the port-count projection and the heralded parts of
+# experiment.run_fusion are read off its parts.  post_select conditions on
+# exact mode counts by its own loop, so tests can check the heralded
+# density matrices against it.
 # --------------------------------------------------------------------------
 
 

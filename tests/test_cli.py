@@ -203,6 +203,20 @@ class TestPercolateCommand:
     def test_invalid_grid_exit_2(self, tmp_path):
         assert main(["percolate", "--grid", "0.9:0.1:0.05", "--out", str(tmp_path)]) == 2
 
+    def test_empty_sizes_flag_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["percolate", "--sizes", "", "--trials", "1",
+                "--grid", "0.4:0.6:0.1", "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_empty_grid_flag_exits_2(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["percolate", "--grid", "", "--sizes", "4,6", "--trials", "1",
+                "--out", str(out)]
+        assert main(args) == 2
+        assert not out.exists()
+
     def test_step_must_divide_grid_range(self, tmp_path):
         out = tmp_path / "run"
         assert main(["percolate", "--grid", "0.4:0.9:0.03", "--out", str(out)]) == 2

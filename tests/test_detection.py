@@ -34,6 +34,7 @@ from fusionsim.experiment import (
     bell_state,
     detection_groups,
     pair_correlations,
+    pair_density,
     run_fusion,
     singlet_fidelity,
 )
@@ -277,9 +278,10 @@ class TestHeraldedStates:
         assert abs(fid_pauli - 1.0) < 1e-9
 
     def test_patterns_weighted_by_their_probability(self):
-        """Branch weights already carry their pattern's probability, so a
-        pattern of probability 0.1 heralding the singlet and one of 0.3
-        heralding a state orthogonal to it give singlet fidelity 0.25."""
+        """Each pattern's density has its pattern's probability as its
+        trace, so a pattern of probability 0.1 heralding the singlet and
+        one of 0.3 heralding a state orthogonal to it give singlet
+        fidelity 0.25."""
         singlet = bell_state(PORT_KEEP_A, PORT_KEEP_B, BellLabel.PSI_MINUS)
         product = create_photons([(Mode(PORT_KEEP_A, H), 1), (Mode(PORT_KEEP_B, H), 1)])
         first, second = (1, 0, 0, 1), (0, 1, 1, 0)
@@ -289,7 +291,10 @@ class TestHeraldedStates:
             config,
             detection_groups(config),
             {first: 0.1, second: 0.3, (2, 0, 0, 0): 0.6},
-            {first: [(0.1, singlet)], second: [(0.3, product)]},
+            {
+                first: 0.1 * pair_density(singlet, PORT_KEEP_A, PORT_KEEP_B),
+                second: 0.3 * pair_density(product, PORT_KEEP_A, PORT_KEEP_B),
+            },
         )
         table = DiscriminationTable(
             {first: BellLabel.PSI_MINUS, second: BellLabel.PSI_MINUS}, 2

@@ -26,6 +26,7 @@ from fusionsim.experiment import (
     hom_dip,
     hom_visibility,
     pair_correlations,
+    pair_density,
     pair_projection_prob,
     phase_sweep,
     prepare_bell_pair,
@@ -403,14 +404,17 @@ class TestFusionRuns:
         config = ExperimentConfig(overlap=0.94, ancilla_enabled=False)
         result = run_fusion(FULL_PREPARATION, config)
         for pattern, prob in result.pattern_probs.items():
-            weights = sum(w for w, _ in result.conditional_states[pattern])
-            assert abs(weights - prob) < 1e-9
+            rho = result.conditional_states[pattern]
+            assert rho.shape == (4, 4)
+            assert abs(np.trace(rho) - prob) < 1e-9
 
     def test_conditional_branches_match_direct_post_selection(self):
-        """The heralded mixtures must equal post-selecting the evolved state
-        on every flavor-resolved detector occupation (an independent path
-        through the measurement machinery).  The unboosted bench keeps the
-        state small enough for the quadratic direct path."""
+        """The heralded densities must equal post-selecting the evolved
+        state on every flavor-resolved detector occupation (an independent
+        path through the measurement machinery) and summing prob |psi><psi|
+        over the outcomes, traced over the analyzer photons' flavors.  The
+        unboosted bench keeps the state small enough for the quadratic
+        direct path."""
         config = ExperimentConfig(overlap=0.95, ancilla_enabled=False)
         state, _ = full_preparation(config)
         evolved = apply_network(state, build_fusion_network(config))
@@ -418,6 +422,7 @@ class TestFusionRuns:
         groups = detection_groups(config)
         group_index = {g: i for i, g in enumerate(groups)}
         analyzer_ports = {PORT_KEEP_A, PORT_KEEP_B}
+        pol_index = {H: 0, V: 1}
 
         detector_occs: dict[tuple[int, ...], set] = {}
         for occ, _ in evolved.items():
@@ -430,19 +435,21 @@ class TestFusionRuns:
             detector_occs.setdefault(tuple(tally), set()).add(detected)
 
         for pattern in sorted(result.pattern_probs)[:5]:
-            mixture = result.conditional_states[pattern]
-            direct = []
+            oracle = np.zeros((4, 4), dtype=complex)
             for detected in detector_occs[pattern]:
                 conditional, prob = post_select(evolved, dict(detected))
-                if prob > 0.0:
-                    direct.append((prob, conditional))
-            assert len(direct) == len(mixture)
-            got = sorted(w for w, _ in mixture)
-            want = sorted(w for w, _ in direct)
-            assert all(abs(a - b) < 1e-9 for a, b in zip(got, want))
-            fid_mixture = singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B)
-            fid_direct = singlet_fidelity(direct, PORT_KEEP_A, PORT_KEEP_B)
-            assert abs(fid_mixture - fid_direct) < 1e-9
+                vectors: dict[tuple[int, int], np.ndarray] = {}
+                for occ, amp in conditional.terms.items():
+                    (mx, nx), (my, ny) = occ
+                    assert (mx.port, nx, my.port, ny) == (PORT_KEEP_A, 1, PORT_KEEP_B, 1)
+                    vec = vectors.setdefault(
+                        (mx.flavor, my.flavor), np.zeros(4, dtype=complex)
+                    )
+                    vec[2 * pol_index[mx.pol] + pol_index[my.pol]] = amp
+                for vec in vectors.values():
+                    oracle += prob * np.outer(vec, vec.conj())
+            rho = result.conditional_states[pattern]
+            assert np.max(np.abs(rho - oracle)) < 1e-12
 
     def test_run_fusion_is_deterministic(self):
         config = ExperimentConfig(overlap=0.93)
@@ -529,6 +536,29 @@ class TestAnalyzers:
         state = create_photons([(Mode(1, H), 2)])
         with pytest.raises(ValueError):
             pair_correlations(state, 1, 4)
+
+    def test_flavor_is_traced_out(self):
+        """A singlet whose two terms put photon 1 in different wave packets
+        is an equal mixture of |HV> and |VH>, with singlet fidelity 1/2."""
+        def singlet(flavor_hv: int, flavor_vh: int) -> FockState:
+            hv = create_photons([(Mode(1, H, flavor_hv), 1), (Mode(4, V), 1)])
+            vh = create_photons([(Mode(1, V, flavor_vh), 1), (Mode(4, H), 1)])
+            return superpose([(1 / SQ2, hv), (-1 / SQ2, vh)])
+
+        assert abs(singlet_fidelity(singlet(0, 1), 1, 4) - 0.5) < 1e-12
+        assert abs(singlet_fidelity(singlet(0, 0), 1, 4) - 1.0) < 1e-12
+
+    def test_rejects_missing_analyzer_photon(self):
+        state = create_photons([(Mode(1, H), 1), (Mode(2, V), 1)])
+        with pytest.raises(ValueError, match="port 4"):
+            pair_density(state, 1, 4)
+
+    def test_port_order_sets_tensor_order(self):
+        # |H on port 1, V on port 4>: index 2 * pol_x + pol_y with H = 0.
+        state = create_photons([(Mode(1, H), 1), (Mode(4, V), 1)])
+        assert pair_density(state, 1, 4)[1, 1] == 1.0
+        assert pair_density(state, 4, 1)[2, 2] == 1.0
+        assert abs(np.trace(pair_density(state, 4, 1)) - 1.0) < 1e-15
 
 
 class TestPhaseSweep:
