@@ -9,7 +9,8 @@ Subcommands
     rate        n-fold coincidence rate (rate.json)
 
 Every run writes run_config.json with the fully resolved parameters; rerun
-with the same seed (any --threads) and the outputs are byte-identical.
+with the same seed (any --threads) and the outputs are byte-identical.  A
+run's files appear in --out together or not at all (see _staged_output).
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 """
 
@@ -18,7 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_type_hints
@@ -145,8 +150,28 @@ def _write_table(
     return path
 
 
-def _emit_run_config(out_dir: Path, subcommand: str, payload: dict) -> None:
-    _write_json(out_dir / "run_config.json", {"subcommand": subcommand, **payload})
+@contextmanager
+def _staged_output(out: str, subcommand: str, run_config: dict):
+    """Directory for a run's files, moved into ``out`` once all are written.
+
+    The block writes into a temporary directory next to ``out``; after it
+    completes, run_config.json is added and every file is moved into
+    ``out`` (created if missing).  If anything fails first, the temporary
+    directory is removed and ``out`` is left as it was.
+    """
+    out_dir = Path(out)
+    parent = out_dir.absolute().parent
+    parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".fusionsim-", dir=parent))
+    try:
+        yield staging
+        payload = {"subcommand": subcommand, **run_config}
+        _write_json(staging / "run_config.json", payload)
+        out_dir.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------
@@ -186,8 +211,6 @@ def cmd_fusion(args) -> int:
         "seed": args.seed,
     }
     cfg = _merge_config(FusionRunConfig, _load_config_file(args.config), flag_values)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     ppnrd = detection.PPNRDConfig(cfg.ppnrd_fanout, cfg.ppnrd_efficiency)
     stats = detection.success_probability(cfg.experiment(), ppnrd)
@@ -197,45 +220,25 @@ def cmd_fusion(args) -> int:
         rows.append((label.value, float(stats.outcome_probs[label]), 0.0))
     rows.append(("fail", float(stats.outcome_probs[None]), 0.0))
     rows.append(("total_success", float(stats.total_success), 0.0))
-    _write_table(
-        out_dir,
-        "outcomes",
-        "outcomes v1",
-        ("outcome", "probability", "stderr"),
-        rows,
-        args.format,
-    )
-
     pattern_rows = []
     for label in BellLabel:
         for pattern, prob in sorted(stats.results[label].pattern_probs.items()):
             pattern_rows.append(
                 (label.value, "|" + "".join(str(n) for n in pattern) + "|", float(prob))
             )
-    _write_table(
-        out_dir,
-        "patterns",
-        "patterns v1",
-        ("input", "pattern", "probability"),
-        pattern_rows,
-        args.format,
-    )
-
     factor_rows = [
         ("|" + "".join(str(n) for n in pattern) + "|", float(factor))
         for pattern, factor in sorted(stats.factors.items())
     ]
-    _write_table(
-        out_dir,
-        "factors",
-        "normalization-factors v1",
-        ("pattern", "factor"),
-        factor_rows,
-        args.format,
+    tables = (
+        ("outcomes", "outcomes v1", ("outcome", "probability", "stderr"), rows),
+        ("patterns", "patterns v1", ("input", "pattern", "probability"), pattern_rows),
+        ("factors", "normalization-factors v1", ("pattern", "factor"), factor_rows),
     )
-
-    _emit_run_config(out_dir, "fusion", asdict(cfg))
-    print(f"fusion: total success {stats.total_success:.6f} -> {out_dir}")
+    with _staged_output(args.out, "fusion", asdict(cfg)) as staging:
+        for stem, schema, header, table in tables:
+            _write_table(staging, stem, schema, header, table, args.format)
+    print(f"fusion: total success {stats.total_success:.6f} -> {Path(args.out)}")
     return 0
 
 
@@ -258,6 +261,8 @@ class SweepRunConfig:
             raise ValueError("visibility must lie in [0, 1]")
         if self.grid is not None and not self.grid:
             raise ValueError("sweep grid must hold at least one value")
+        if any(not math.isfinite(v) for v in self.grid or ()):
+            raise ValueError("sweep grid values must be finite")
         if self.kind == "visibility" and any(
             not 0.0 <= v <= 1.0 for v in self.grid or ()
         ):
@@ -272,14 +277,14 @@ def cmd_sweep(args) -> int:
         "seed": args.seed,
     }
     cfg = _merge_config(SweepRunConfig, _load_config_file(args.config), flag_values)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.kind == "phase":
         grid = cfg.grid or tuple(float(x) for x in np.linspace(0.0, 2.2 * math.pi, 23))
         points = experiment.phase_sweep(
             grid, ExperimentConfig(overlap=cfg.visibility, ancilla_enabled=False)
         )
+        schema = "phase-sweep v1"
+        header: tuple[str, ...] = ("phase", "pp", "pm", "mp", "mm")
         rows = [
             (
                 float(pt.phase),
@@ -290,16 +295,10 @@ def cmd_sweep(args) -> int:
             )
             for pt in points
         ]
-        _write_table(
-            out_dir,
-            "sweep",
-            "phase-sweep v1",
-            ("phase", "pp", "pm", "mp", "mm"),
-            rows,
-            args.format,
-        )
     else:
         grid = cfg.grid or (1.0, 0.98, 0.96, 0.94, 0.92, 0.90)
+        schema = "visibility-sweep v1"
+        header = ("overlap", "hom_visibility", "total_success")
         rows = []
         for overlap in grid:
             stats = detection.success_probability(ExperimentConfig(overlap=overlap))
@@ -310,17 +309,11 @@ def cmd_sweep(args) -> int:
                     float(stats.total_success),
                 )
             )
-        _write_table(
-            out_dir,
-            "sweep",
-            "visibility-sweep v1",
-            ("overlap", "hom_visibility", "total_success"),
-            rows,
-            args.format,
-        )
 
-    _emit_run_config(out_dir, "sweep", {**asdict(cfg), "grid": list(grid)})
-    print(f"sweep ({cfg.kind}): {len(grid)} points -> {out_dir}")
+    run_config = {**asdict(cfg), "grid": list(grid)}
+    with _staged_output(args.out, "sweep", run_config) as staging:
+        _write_table(staging, "sweep", schema, header, rows, args.format)
+    print(f"sweep ({cfg.kind}): {len(grid)} points -> {Path(args.out)}")
     return 0
 
 
@@ -421,8 +414,6 @@ def cmd_percolate(args) -> int:
     fraction_curves = {L: curves["fraction"] for L, curves in sweeps.items()}
     spanning_curves = {L: curves["spanning"] for L, curves in sweeps.items()}
 
-    # Settled before anything is written, so a run leaves all of its
-    # outputs or none.
     threshold_payload: dict = {
         "estimate": None,
         "method": "unavailable (need at least two sizes)",
@@ -444,30 +435,19 @@ def cmd_percolate(args) -> int:
                 "crossings": {str(k): v for k, v in estimate.crossings.items()},
             }
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed")
-    _write_table(
-        out_dir,
-        "curves",
-        "largest-cluster v1",
-        header,
-        _curve_rows(fraction_curves),
-        args.format,
+    tables = (
+        ("curves", "largest-cluster v1", fraction_curves),
+        ("spanning", "spanning-probability v1", spanning_curves),
     )
-    _write_table(
-        out_dir,
-        "spanning",
-        "spanning-probability v1",
-        header,
-        _curve_rows(spanning_curves),
-        args.format,
-    )
-    _write_json(out_dir / "threshold.json", threshold_payload)
-    _emit_run_config(out_dir, "percolate", asdict(cfg))
+    with _staged_output(args.out, "percolate", asdict(cfg)) as staging:
+        for stem, schema, curves in tables:
+            rows = _curve_rows(curves)
+            _write_table(staging, stem, schema, header, rows, args.format)
+        _write_json(staging / "threshold.json", threshold_payload)
     print(
         f"percolate: sizes {list(cfg.sizes)} mode {cfg.mode} "
-        f"threshold {threshold_payload.get('estimate')} -> {out_dir}"
+        f"threshold {threshold_payload.get('estimate')} -> {Path(args.out)}"
     )
     return 0
 
@@ -502,11 +482,10 @@ def cmd_ppnrd(args) -> int:
         "click_distribution": clicks,
         "resolve_probability": detection.resolve_probability(cfg.photons, ppnrd),
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "ppnrd.json", payload)
-    _emit_run_config(out_dir, "ppnrd", asdict(cfg))
-    print(f"ppnrd: resolve probability {payload['resolve_probability']} -> {out_dir}")
+    with _staged_output(args.out, "ppnrd", asdict(cfg)) as staging:
+        _write_json(staging / "ppnrd.json", payload)
+    resolve = payload["resolve_probability"]
+    print(f"ppnrd: resolve probability {resolve} -> {Path(args.out)}")
     return 0
 
 
@@ -517,8 +496,8 @@ class RateRunConfig:
     fold: int = 8
 
     def __post_init__(self):
-        if self.attempts < 0:
-            raise ValueError("attempt rate must be non-negative")
+        if not 0.0 <= self.attempts < math.inf:
+            raise ValueError("attempt rate must be finite and non-negative")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if self.fold < 1:
@@ -535,11 +514,9 @@ def cmd_rate(args) -> int:
         "fold": cfg.fold,
         "rate_hz": rate,
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "rate.json", payload)
-    _emit_run_config(out_dir, "rate", asdict(cfg))
-    print(f"rate: {rate} Hz -> {out_dir}")
+    with _staged_output(args.out, "rate", asdict(cfg)) as staging:
+        _write_json(staging / "rate.json", payload)
+    print(f"rate: {rate} Hz -> {Path(args.out)}")
     return 0
 
 

@@ -72,9 +72,6 @@ class DiscriminationTable:
             return None
         return self._assignments.get(clicks)
 
-    def patterns_for(self, label: Optional[BellLabel]) -> list[Pattern]:
-        return sorted(p for p, lab in self._assignments.items() if lab is label)
-
 
 def derive_discrimination_table(
     ideal_distributions: Mapping[BellLabel, Mapping[Pattern, float]],

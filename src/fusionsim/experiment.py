@@ -10,12 +10,17 @@ one ancilla rail on a second 50:50 splitter, which is what lifts the
 Phi+/Phi- branches above the conventional 50% ceiling.  Ports 1 and 4 keep
 the heralded pair for polarization analysis.
 
-Partial distinguishability is modelled with one common internal wave
-packet plus a private orthogonal one per photon (see ``assign_flavors``),
-which reproduces any pairwise overlap prescribed per photon.  Loss is a
-rate-only effect here (patterns are post-selected on the full photon
-number), so per-port transmission only enters the coincidence-rate
-estimators in :mod:`fusionsim.detection`.
+Partial distinguishability is a classical mixture of branches (see
+``flavor_branches``): in each branch every photon carries one internal
+wave packet, the common flavor 0 or its own private flavor, with weights
+that reproduce any pairwise overlap prescribed per photon.  The elements
+never mix flavors and detectors and analyzers are flavor-blind, so the
+mixture has the statistics of a coherent common-plus-private superposition
+per photon (Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844
+(2015)); :func:`run_fusion` evolves each branch and sums the weighted
+results.  Loss is a rate-only effect here (patterns are post-selected on
+the full photon number), so per-port transmission only enters the
+coincidence-rate estimators in :mod:`fusionsim.detection`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -127,47 +133,45 @@ class ExperimentConfig:
         return self.overlap
 
 
-#: Internal-state decomposition of one photon: ((flavor, amplitude), ...).
-FlavorComponents = tuple[tuple[int, float], ...]
+#: Photons of the two N00N ancillas (5-6 feed port 5, 7-8 feed port 7).
+ANCILLA_PHOTONS = (5, 6, 7, 8)
 
 
-def assign_flavors(
+def flavor_branches(
     photon_ids: Sequence[int], config: ExperimentConfig
-) -> dict[int, FlavorComponents]:
-    """Common-plus-private wave-packet decomposition for each photon.
+) -> list[tuple[float, dict[int, int]]]:
+    """Mixture branches of the photons' wave packets: (weight, {photon:
+    flavor}) pairs of nonzero weight, whose weights sum to 1.
 
     The overlap V is the *squared* inner product of two photons' wave
-    packets (the quantity a Hong-Ou-Mandel dip measures), so photon ``i``
-    carries weight sqrt(v_i) on the common flavor 0 and the rest on its
-    private flavor: the squared overlap of photons i and j is then
-    sqrt(v_i * v_j), equal to the configured scalar when uniform, and the
-    simulated HOM visibility of any pair equals V exactly.
+    packets (the quantity a Hong-Ou-Mandel dip measures).  Photon ``i`` is
+    in the common flavor 0 with probability w_i = sqrt(v_i) and in its
+    private flavor ``i`` otherwise, so photons i and j share a wave packet
+    with probability sqrt(v_i * v_j), equal to the configured scalar when
+    uniform, and the simulated HOM visibility of any pair equals V exactly.
     """
-    out: dict[int, FlavorComponents] = {}
+    branches: list[tuple[float, dict[int, int]]] = [(1.0, {})]
     for pid in photon_ids:
         if pid <= 0:
             raise ValueError("photon ids must be positive (flavor 0 is reserved)")
         w = math.sqrt(config.photon_overlap(pid))
-        comps: list[tuple[int, float]] = []
-        if w > 0.0:
-            comps.append((0, math.sqrt(w)))
-        if w < 1.0:
-            comps.append((pid, math.sqrt(1.0 - w)))
-        out[pid] = tuple(comps)
-    return out
+        branches = [
+            (weight * p, {**flavors, pid: flavor})
+            for weight, flavors in branches
+            for p, flavor in ((w, 0), (1.0 - w, pid))
+            if weight * p > 0.0
+        ]
+    return branches
 
 
 def single_photon(
-    port: int, pol_amplitudes: Mapping[str, complex], flavors: FlavorComponents
+    port: int, pol_amplitudes: Mapping[str, complex], flavor: int = 0
 ) -> FockState:
-    """One photon on ``port`` in a polarization and wave-packet superposition."""
-    parts = []
-    for pol, c_pol in pol_amplitudes.items():
-        for flavor, c_flavor in flavors:
-            parts.append(
-                (c_pol * c_flavor, create_photons([(Mode(port, pol, flavor), 1)]))
-            )
-    return superpose(parts)
+    """One photon on ``port`` in a polarization superposition."""
+    return superpose(
+        (c_pol, create_photons([(Mode(port, pol, flavor), 1)]))
+        for pol, c_pol in pol_amplitudes.items()
+    )
 
 
 _PLUS = {H: 1 / math.sqrt(2), V: 1 / math.sqrt(2)}
@@ -177,8 +181,8 @@ def bell_state(
     port_x: int,
     port_y: int,
     label: BellLabel,
-    flavors_x: FlavorComponents = ((0, 1.0),),
-    flavors_y: FlavorComponents = ((0, 1.0),),
+    flavor_x: int = 0,
+    flavor_y: int = 0,
 ) -> FockState:
     """Bell state of two photons on distinct ports.
 
@@ -188,42 +192,34 @@ def bell_state(
     """
     if port_x == port_y:
         raise ValueError("Bell state needs two distinct ports")
-    parts = []
-    for pol_x, pol_y, sign in _BELL_TERMS[label]:
-        for fx, cx in flavors_x:
-            for fy, cy in flavors_y:
-                amp = sign * cx * cy / math.sqrt(2)
-                parts.append(
-                    (
-                        amp,
-                        create_photons(
-                            [(Mode(port_x, pol_x, fx), 1), (Mode(port_y, pol_y, fy), 1)]
-                        ),
-                    )
-                )
-    return superpose(parts)
+    return superpose(
+        (
+            sign / math.sqrt(2),
+            create_photons(
+                [(Mode(port_x, pol_x, flavor_x), 1), (Mode(port_y, pol_y, flavor_y), 1)]
+            ),
+        )
+        for pol_x, pol_y, sign in _BELL_TERMS[label]
+    )
 
 
 def prepare_bell_pair(
-    port_keep: int,
-    port_fuse: int,
-    config: ExperimentConfig,
-    photon_ids: tuple[int, int] = (1, 2),
+    port_keep: int, port_fuse: int, flavors: tuple[int, int] = (0, 0)
 ) -> tuple[FockState, float]:
     """Bell pair from two |+> photons on a polarizing beam splitter.
 
-    Post-selects one photon per output port (probability 1/2 for
-    indistinguishable photons).  The V arm of the fused port carries a
+    ``flavors`` are the wave packets of the photons entering on
+    ``port_keep`` and ``port_fuse``.  Post-selects one photon per output
+    port (probability 1/2).  The V arm of the fused port carries a
     half-wave plate at 0 degrees: it cancels the two reflection phases so
     the heralded state is exactly (|HH> + |VV>)/sqrt(2), matching the
     calibrated bench.  Note the wave-packet labels end up correlated with
     polarization: the H photon of each port keeps one input's wave packet
     and the V photon the other's.
     """
-    flavors = assign_flavors(photon_ids, config)
     photons = compose(
-        single_photon(port_keep, _PLUS, flavors[photon_ids[0]]),
-        single_photon(port_fuse, _PLUS, flavors[photon_ids[1]]),
+        single_photon(port_keep, _PLUS, flavors[0]),
+        single_photon(port_fuse, _PLUS, flavors[1]),
     )
     mixed = apply_network(
         photons,
@@ -239,23 +235,20 @@ def prepare_bell_pair(
 
 
 def prepare_noon_pair(
-    port_out: int,
-    port_in: int,
-    config: ExperimentConfig,
-    photon_ids: tuple[int, int] = (5, 6),
+    port_out: int, port_in: int, flavors: tuple[int, int] = (0, 0)
 ) -> FockState:
     """Two-photon polarization N00N state on ``port_out``.
 
-    Two H photons bunch on a 50:50 splitter, the second output is rotated
+    Two H photons (wave packets ``flavors``, entering on ``port_out`` and
+    ``port_in``) bunch on a 50:50 splitter, the second output is rotated
     H->V and folded back through a polarizing beam splitter, leaving
     (|2H 0V> + |0H 2V>)/sqrt(2) on a single rail.  No post-selection is
-    involved: every amplitude ends on ``port_out`` even for partially
-    distinguishable photons.
+    involved: every amplitude ends on ``port_out`` even for distinguishable
+    photons.
     """
-    flavors = assign_flavors(photon_ids, config)
     photons = compose(
-        single_photon(port_out, {H: 1.0}, flavors[photon_ids[0]]),
-        single_photon(port_in, {H: 1.0}, flavors[photon_ids[1]]),
+        single_photon(port_out, {H: 1.0}, flavors[0]),
+        single_photon(port_in, {H: 1.0}, flavors[1]),
     )
     return apply_network(
         photons,
@@ -345,33 +338,38 @@ class FusionResult:
         return {side: p / weight for side, p in branch.items()}
 
 
-def full_preparation(config: ExperimentConfig) -> tuple[FockState, float]:
-    """Two Bell pairs plus (optionally) two N00N ancillas, with the
-    combined post-selection probability of the two pair preparations."""
-    pair_a, prob_a = prepare_bell_pair(PORT_KEEP_A, PORT_FUSE_A, config, (1, 2))
-    pair_b, prob_b = prepare_bell_pair(PORT_KEEP_B, PORT_FUSE_B, config, (4, 3))
-    states = [pair_a, pair_b]
-    if config.ancilla_enabled:
-        states.append(
-            prepare_noon_pair(PORT_ANCILLA_A, PORT_ANCILLA_A_IN, config, (5, 6))
-        )
-        states.append(
-            prepare_noon_pair(PORT_ANCILLA_B, PORT_ANCILLA_B_IN, config, (7, 8))
-        )
+def _ancillas(flavors: Mapping[int, int]) -> list[FockState]:
+    return [
+        prepare_noon_pair(PORT_ANCILLA_A, PORT_ANCILLA_A_IN, (flavors[5], flavors[6])),
+        prepare_noon_pair(PORT_ANCILLA_B, PORT_ANCILLA_B_IN, (flavors[7], flavors[8])),
+    ]
+
+
+def full_preparation(
+    flavors: Mapping[int, int], ancilla_enabled: bool = True
+) -> tuple[FockState, float]:
+    """Two Bell pairs (photons 1-4) plus, optionally, two N00N ancillas
+    (photons 5-8), with the photons in the wave packets ``flavors`` (one
+    branch of :func:`flavor_branches`), and the combined post-selection
+    probability of the two pair preparations."""
+    pair_a, prob_a = prepare_bell_pair(
+        PORT_KEEP_A, PORT_FUSE_A, (flavors[1], flavors[2])
+    )
+    pair_b, prob_b = prepare_bell_pair(
+        PORT_KEEP_B, PORT_FUSE_B, (flavors[4], flavors[3])
+    )
+    states = [pair_a, pair_b] + (_ancillas(flavors) if ancilla_enabled else [])
     return compose(*states), prob_a * prob_b
 
 
-def _bell_input(label: BellLabel, config: ExperimentConfig) -> FockState:
-    flavors = assign_flavors((2, 3, 5, 6, 7, 8), config)
-    states = [bell_state(PORT_FUSE_A, PORT_FUSE_B, label, flavors[2], flavors[3])]
-    if config.ancilla_enabled:
-        states.append(
-            prepare_noon_pair(PORT_ANCILLA_A, PORT_ANCILLA_A_IN, config, (5, 6))
-        )
-        states.append(
-            prepare_noon_pair(PORT_ANCILLA_B, PORT_ANCILLA_B_IN, config, (7, 8))
-        )
-    return compose(*states)
+def _bell_input(
+    label: BellLabel, flavors: Mapping[int, int], ancilla_enabled: bool
+) -> tuple[FockState, float]:
+    """A Bell state on the fused ports (photons 2 and 3) plus the physical
+    ancillas; nothing is post-selected, so the probability is 1."""
+    pair = bell_state(PORT_FUSE_A, PORT_FUSE_B, label, flavors[2], flavors[3])
+    states = [pair] + (_ancillas(flavors) if ancilla_enabled else [])
+    return compose(*states), 1.0
 
 
 def run_fusion(
@@ -388,31 +386,49 @@ def run_fusion(
     For full-preparation runs ``conditional_filter`` restricts which
     patterns get a heralded state (a predicate on the pattern tuple);
     None keeps them all.
+
+    Each branch of :func:`flavor_branches` is evolved on its own; its
+    probabilities and densities enter with the branch weight times its
+    preparation's post-selection probability, normalized over branches.
     """
     if isinstance(fusion_input, BellLabel):
-        state = _bell_input(fusion_input, config)
         label = fusion_input.value
-        track_conditionals = False
+        photon_ids: tuple[int, ...] = (2, 3)
+        prepare = partial(_bell_input, fusion_input)
     elif fusion_input == FULL_PREPARATION:
-        state, _ = full_preparation(config)
         label = FULL_PREPARATION
-        track_conditionals = True
+        photon_ids = (1, 2, 3, 4)
+        prepare = full_preparation
     else:
         raise ValueError(f"unknown fusion input {fusion_input!r}")
+    if config.ancilla_enabled:
+        photon_ids += ANCILLA_PHOTONS
 
-    state = apply_network(state, build_fusion_network(config))
+    prepared = []
+    for weight, flavors in flavor_branches(photon_ids, config):
+        state, prob = prepare(flavors, config.ancilla_enabled)
+        prepared.append((weight * prob, state))
+    total = math.fsum(weight for weight, _ in prepared)
+
+    network = build_fusion_network(config)
     groups = detection_groups(config)
-
-    if not track_conditionals:
-        return FusionResult(label, config, groups, pattern_distribution(state, groups))
-
+    track_conditionals = label == FULL_PREPARATION
     probs: dict[tuple[int, ...], float] = {}
     conditionals: dict[tuple[int, ...], np.ndarray] = {}
-    for pattern, part in partition(state, groups).items():
-        probs[pattern] = part.norm_squared()
-        if conditional_filter is None or conditional_filter(pattern):
-            conditionals[pattern] = pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
-    return FusionResult(label, config, groups, probs, conditionals)
+    for weight, state in prepared:
+        weight /= total
+        for pattern, part in partition(apply_network(state, network), groups).items():
+            probs[pattern] = probs.get(pattern, 0.0) + weight * part.norm_squared()
+            if track_conditionals and (
+                conditional_filter is None or conditional_filter(pattern)
+            ):
+                rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
+                if pattern in conditionals:
+                    rho += conditionals[pattern]
+                conditionals[pattern] = rho
+    return FusionResult(
+        label, config, groups, probs, conditionals if track_conditionals else None
+    )
 
 
 # --------------------------------------------------------------------------
@@ -521,22 +537,23 @@ def pair_correlations(
 
 def hom_dip(overlap: float) -> float:
     """Cross-port coincidence probability of two photons on a 50:50
-    splitter, simulated through the Fock engine.
+    splitter, simulated through the Fock engine over the flavor branches.
 
     Equals (1 - overlap)/2; the conventionally reported visibility is
     1 - 2 * P_cc = overlap.
     """
-    config = ExperimentConfig(overlap=overlap, ancilla_enabled=False)
-    flavors = assign_flavors((1, 2), config)
-    photons = compose(
-        single_photon(0, {H: 1.0}, flavors[1]),
-        single_photon(1, {H: 1.0}, flavors[2]),
-    )
-    out = apply_network(
-        photons, Network(ops=(BeamSplitter(0, 1),), ports=(0, 1))
-    )
-    dist = pattern_distribution(out, [(0, None), (1, None)])
-    return dist.get((1, 1), 0.0)
+    prob = 0.0
+    for weight, flavors in flavor_branches((1, 2), ExperimentConfig(overlap=overlap)):
+        photons = compose(
+            single_photon(0, {H: 1.0}, flavors[1]),
+            single_photon(1, {H: 1.0}, flavors[2]),
+        )
+        out = apply_network(
+            photons, Network(ops=(BeamSplitter(0, 1),), ports=(0, 1))
+        )
+        dist = pattern_distribution(out, [(0, None), (1, None)])
+        prob += weight * dist.get((1, 1), 0.0)
+    return prob
 
 
 def hom_visibility(overlap: float) -> float:

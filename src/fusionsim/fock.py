@@ -5,9 +5,10 @@ amplitudes.  An optical mode is labelled by a spatial port, a polarization
 (H or V), and an integer "flavor" indexing the photon's internal wave
 packet: flavor 0 is the common, mutually interfering wave packet, while
 distinct nonzero flavors are orthogonal to flavor 0 and to each other.
-Partially distinguishable photons are superpositions of flavor 0 and a
-private flavor; the elements below never mix flavors, so distinguishability
-propagates exactly through any circuit.
+The elements below never mix flavors, and photons of distinct flavors
+never interfere, so a partially distinguishable photon (common with some
+probability, private otherwise) is simulated as a classical mixture of
+states in which each photon has one flavor (experiment.flavor_branches).
 
 Detectors are flavor-blind: :func:`partition` splits a state by the photon
 counts its detection groups see, and every Fock-state measurement (pattern

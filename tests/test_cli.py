@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsim import detection, experiment
+from fusionsim import cli, detection, experiment
 from fusionsim.cli import (
     PercolateRunConfig,
     PPNRDRunConfig,
@@ -299,6 +299,70 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, command, config):
     args = [command, "--config", write_config(tmp_path, config), "--out", str(out)]
     assert main(args) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("sweep", ["--kind", "phase", "--grid", "nan"], None),
+        ("sweep", ["--kind", "phase", "--grid", "inf"], None),
+        ("sweep", [], {"kind": "phase", "grid": [0.0, math.nan]}),
+        ("rate", ["--attempts", "nan"], None),
+        ("rate", ["--attempts", "inf"], None),
+        ("rate", [], {"attempts": math.inf}),
+    ],
+)
+def test_non_finite_value_exits_2(tmp_path, command, flags, config):
+    out = tmp_path / "run"
+    args = [command, *flags, "--out", str(out)]
+    if config is not None:
+        args += ["--config", write_config(tmp_path, config)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
+#: One quick run per subcommand.
+QUICK_RUNS = {
+    "fusion": ["fusion", "--no-ancilla"],
+    "sweep": ["sweep", "--kind", "phase", "--grid", "0,1"],
+    "percolate": ["percolate", "--sizes", "4,6", "--trials", "2",
+                  "--grid", "0.4:0.8:0.2"],
+    "ppnrd": ["ppnrd", "--n", "2"],
+    "rate": ["rate"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, command, existing):
+    """A run whose second file write fails exits 1 and leaves --out as it
+    was (absent, or holding its earlier files) and no staging directory."""
+    out = tmp_path / "run"
+    if existing:
+        out.mkdir()
+        (out / "old.txt").write_text("kept")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    writes = []
+    real_open = open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError("disk full")
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert main([*QUICK_RUNS[command], "--out", str(out)]) == 1
+    assert len(writes) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if existing:
+        assert [p.name for p in out.iterdir()] == ["old.txt"]
+
+    monkeypatch.undo()
+    assert main([*QUICK_RUNS[command], "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(before) | {"run"})
+    assert "run_config.json" in {p.name for p in out.iterdir()}
 
 
 def test_integer_in_float_field_is_accepted(tmp_path):

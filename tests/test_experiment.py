@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionsim.experiment import (
     FULL_PREPARATION,
@@ -16,11 +18,12 @@ from fusionsim.experiment import (
     PORT_KEEP_A,
     PORT_KEEP_B,
     BellLabel,
+    N_PHOTONS,
     ExperimentConfig,
-    assign_flavors,
     bell_state,
     build_fusion_network,
     detection_groups,
+    flavor_branches,
     fringe_visibility,
     full_preparation,
     hom_dip,
@@ -32,6 +35,7 @@ from fusionsim.experiment import (
     prepare_bell_pair,
     prepare_noon_pair,
     run_fusion,
+    single_photon,
     singlet_fidelity,
 )
 from fusionsim.fock import (
@@ -42,6 +46,8 @@ from fusionsim.fock import (
     apply_network,
     apply_op,
     BeamSplitter,
+    HalfWavePlate,
+    PolarizingBeamSplitter,
     compose,
     create_photons,
     occupation,
@@ -161,14 +167,24 @@ class TestFourPhotonOracle:
         assert abs(sum(BUNCHED_MINUS_PROBS.values()) - 1.0) < 1e-15
 
 
+def bell_pair_density(config: ExperimentConfig) -> np.ndarray:
+    """Pair-preparation density of photons 1 and 2 over their flavor
+    branches, each weighted by its post-selection probability."""
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, flavors in flavor_branches((1, 2), config):
+        state, prob = prepare_bell_pair(1, 2, (flavors[1], flavors[2]))
+        rho += weight * prob * pair_density(state, 1, 2)
+    return rho
+
+
 class TestBellPairPreparation:
     def test_ideal_pair_is_phi_plus(self):
-        state, prob = prepare_bell_pair(1, 2, ExperimentConfig(), (1, 2))
+        state, prob = prepare_bell_pair(1, 2)
         assert abs(prob - 0.5) < 1e-12
         assert abs(pair_projection_prob(state, 1, 2, PHI_PLUS_TARGET) - 1.0) < 1e-12
 
     def test_distinguishable_pair_fidelity_half(self):
-        state, prob = prepare_bell_pair(1, 2, ExperimentConfig(overlap=0.0), (1, 2))
+        state, prob = prepare_bell_pair(1, 2, (1, 2))
         assert abs(prob - 0.5) < 1e-12
         assert abs(pair_projection_prob(state, 1, 2, PHI_PLUS_TARGET) - 0.5) < 1e-12
 
@@ -176,14 +192,15 @@ class TestBellPairPreparation:
         # Wave packets are polarization-correlated after the splitter, so
         # the coincidence fidelity is (1 + V)/2.
         for overlap in (0.25, 0.5, 0.9):
-            state, _ = prepare_bell_pair(1, 2, ExperimentConfig(overlap=overlap), (1, 2))
-            fid = pair_projection_prob(state, 1, 2, PHI_PLUS_TARGET)
+            rho = bell_pair_density(ExperimentConfig(overlap=overlap))
+            assert abs(np.trace(rho) - 0.5) < 1e-12
+            fid = pair_projection_prob(rho, 1, 2, PHI_PLUS_TARGET)
             assert abs(fid - (1 + overlap) / 2) < 1e-12
 
 
 class TestNoonPreparation:
     def test_ideal_amplitudes(self):
-        state = prepare_noon_pair(5, 6, ExperimentConfig(), (5, 6))
+        state = prepare_noon_pair(5, 6)
         amp_h = state.amplitude(occupation({Mode(5, H): 2}))
         amp_v = state.amplitude(occupation({Mode(5, V): 2}))
         assert abs(abs(amp_h) - 1 / SQ2) < 1e-12
@@ -201,47 +218,100 @@ class TestNoonPreparation:
 
     def test_everything_lands_on_output_rail(self):
         for overlap in (1.0, 0.6, 0.0):
-            state = prepare_noon_pair(5, 6, ExperimentConfig(overlap=overlap), (5, 6))
-            assert state.ports() == {5}
+            for _, flavors in flavor_branches((5, 6), ExperimentConfig(overlap=overlap)):
+                state = prepare_noon_pair(5, 6, (flavors[5], flavors[6]))
+                assert state.ports() == {5}
 
     def test_distinguishable_photons_leak_mixed_polarization(self):
-        state = prepare_noon_pair(5, 6, ExperimentConfig(overlap=0.0), (5, 6))
+        state = prepare_noon_pair(5, 6, (5, 6))
         dist = pattern_distribution(state, [(5, H), (5, V)])
         assert abs(dist.get((1, 1), 0.0) - 0.5) < 1e-12
 
 
+def branch_hom_visibility(config: ExperimentConfig) -> float:
+    """1 - 2 P_cc of photons 1 and 2 on a 50:50 splitter, summed over the
+    flavor branches of ``config``."""
+    dip = 0.0
+    for weight, flavors in flavor_branches((1, 2), config):
+        photons = compose(
+            single_photon(0, {H: 1.0}, flavors[1]),
+            single_photon(1, {H: 1.0}, flavors[2]),
+        )
+        out = apply_op(photons, BeamSplitter(0, 1))
+        dip += weight * pattern_distribution(out, [(0, None), (1, None)]).get((1, 1), 0.0)
+    return 1.0 - 2.0 * dip
+
+
+def shared_wave_packet(config: ExperimentConfig, i: int, j: int) -> float:
+    """Probability that photons i and j are both in the common flavor."""
+    return math.fsum(
+        weight
+        for weight, flavors in flavor_branches((i, j), config)
+        if flavors[i] == flavors[j] == 0
+    )
+
+
 class TestFlavorAssignment:
+    """Each flavor branch gives every photon exactly one wave packet."""
+
     def test_perfect_overlap_single_component(self):
-        flavors = assign_flavors((1, 2, 3), ExperimentConfig(overlap=1.0))
-        for comps in flavors.values():
-            assert comps == ((0, 1.0),)
+        branches = flavor_branches((1, 2, 3), ExperimentConfig(overlap=1.0))
+        assert branches == [(1.0, {1: 0, 2: 0, 3: 0})]
+        assert branches[0][0] == 1.0
 
     def test_zero_overlap_private_flavors(self):
-        flavors = assign_flavors((1, 2), ExperimentConfig(overlap=0.0))
-        assert flavors[1] == ((1, 1.0),)
-        assert flavors[2] == ((2, 1.0),)
+        branches = flavor_branches((1, 2), ExperimentConfig(overlap=0.0))
+        assert branches == [(1.0, {1: 1, 2: 2})]
 
     def test_pairwise_squared_overlap_equals_setting(self):
         for overlap in (0.3, 0.5, 0.9076):
-            flavors = assign_flavors((1, 2), ExperimentConfig(overlap=overlap))
-            inner = sum(
-                ca * cb
-                for fa, ca in flavors[1]
-                for fb, cb in flavors[2]
-                if fa == fb
-            )
-            assert abs(inner**2 - overlap) < 1e-12
+            config = ExperimentConfig(overlap=overlap)
+            assert abs(shared_wave_packet(config, 1, 2) - overlap) < 1e-12
+            assert abs(hom_visibility(overlap) - overlap) < 1e-12
+            assert abs(branch_hom_visibility(config) - overlap) < 1e-12
 
     def test_per_photon_override(self):
         cfg = ExperimentConfig(per_photon_overlap=(1.0, 0.49) + (1.0,) * 6)
-        flavors = assign_flavors((1, 2), cfg)
-        inner = sum(
-            ca * cb for fa, ca in flavors[1] for fb, cb in flavors[2] if fa == fb
-        )
-        assert abs(inner**2 - 0.7) < 1e-12
+        assert abs(shared_wave_packet(cfg, 1, 2) - 0.7) < 1e-12
+        assert abs(branch_hom_visibility(cfg) - 0.7) < 1e-12
+        cfg = ExperimentConfig(per_photon_overlap=(0.81, 0.64) + (1.0,) * 6)
+        assert abs(branch_hom_visibility(cfg) - 0.72) < 1e-12
 
     def test_half_overlap_dip(self):
         assert abs(hom_dip(0.5) - 0.25) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=N_PHOTONS, max_size=N_PHOTONS
+        )
+    )
+    def test_weights_sum_to_one(self, overlaps):
+        config = ExperimentConfig(per_photon_overlap=tuple(overlaps))
+        branches = flavor_branches(range(1, N_PHOTONS + 1), config)
+        # Each photon of overlap strictly between 0 and 1 doubles the
+        # branches (fewer only where a product of weights underflows).
+        assert len(branches) <= 2 ** sum(0.0 < v < 1.0 for v in overlaps)
+        assert all(weight > 0.0 for weight, _ in branches)
+        assert abs(math.fsum(weight for weight, _ in branches) - 1.0) < 1e-12
+        assert len({tuple(flavors.values()) for _, flavors in branches}) == len(branches)
+
+    def test_branch_weight_is_exactly_one_at_full_overlap(self):
+        """V = 1 evolves one branch of weight 1.0, so every V = 1 number is
+        the single coherent run's, bit for bit."""
+        config = ExperimentConfig()
+        assert flavor_branches(range(1, N_PHOTONS + 1), config) == [
+            (1.0, {pid: 0 for pid in range(1, N_PHOTONS + 1)})
+        ]
+        state = compose(
+            bell_state(PORT_FUSE_A, PORT_FUSE_B, BellLabel.PHI_MINUS),
+            prepare_noon_pair(PORT_ANCILLA_A, 6),
+            prepare_noon_pair(PORT_ANCILLA_B, 8),
+        )
+        direct = pattern_distribution(
+            apply_network(state, build_fusion_network(config)), detection_groups(config)
+        )
+        assert run_fusion(BellLabel.PHI_MINUS, config).pattern_probs == direct
 
 
 class TestHOM:
@@ -290,10 +360,9 @@ class TestFusionNetwork:
 def bunched_splitter_amplitudes(label: BellLabel) -> dict[tuple[int, ...], complex]:
     """Amplitudes over (2H, 2V, 5H, 5V) for the branch where both fused
     photons exit toward the first ancilla splitter."""
-    cfg = ExperimentConfig()
     state = compose(
         bell_state(PORT_FUSE_A, PORT_FUSE_B, label),
-        prepare_noon_pair(PORT_ANCILLA_A, 6, cfg, (5, 6)),
+        prepare_noon_pair(PORT_ANCILLA_A, 6),
     )
     state = apply_op(state, BeamSplitter(PORT_FUSE_A, PORT_FUSE_B))
     state, _ = project_port_counts(state, {PORT_FUSE_A: 2, PORT_FUSE_B: 0})
@@ -376,7 +445,7 @@ class TestFusionRuns:
                 assert abs(sum(result.pattern_probs.values()) - 1.0) < 1e-9
 
     def test_full_preparation_probability(self):
-        _, prob = full_preparation(ExperimentConfig())
+        _, prob = full_preparation({pid: 0 for pid in range(1, N_PHOTONS + 1)})
         assert abs(prob - 0.25) < 1e-12
 
     def test_full_preparation_matches_uniform_mixture(self):
@@ -409,47 +478,23 @@ class TestFusionRuns:
             assert abs(np.trace(rho) - prob) < 1e-9
 
     def test_conditional_branches_match_direct_post_selection(self):
-        """The heralded densities must equal post-selecting the evolved
-        state on every flavor-resolved detector occupation (an independent
-        path through the measurement machinery) and summing prob |psi><psi|
-        over the outcomes, traced over the analyzer photons' flavors.  The
+        """The branch-weighted patterns and heralded densities must equal
+        those of the coherent common-plus-private preparation, post-selected
+        on every flavor-resolved detector occupation and summed as
+        prob |psi><psi|, traced over the analyzer photons' flavors.  The
         unboosted bench keeps the state small enough for the quadratic
         direct path."""
-        config = ExperimentConfig(overlap=0.95, ancilla_enabled=False)
-        state, _ = full_preparation(config)
-        evolved = apply_network(state, build_fusion_network(config))
-        result = run_fusion(FULL_PREPARATION, config)
-        groups = detection_groups(config)
-        group_index = {g: i for i, g in enumerate(groups)}
-        analyzer_ports = {PORT_KEEP_A, PORT_KEEP_B}
-        pol_index = {H: 0, V: 1}
+        assert_matches_coherent_preparation(
+            ExperimentConfig(overlap=0.95, ancilla_enabled=False)
+        )
 
-        detector_occs: dict[tuple[int, ...], set] = {}
-        for occ, _ in evolved.items():
-            detected = tuple(
-                e for e in occ if e[0].port not in analyzer_ports
+    def test_conditional_branches_match_coherent_per_photon_overlap(self):
+        assert_matches_coherent_preparation(
+            ExperimentConfig(
+                per_photon_overlap=(0.99, 0.9, 0.95, 0.85) + (1.0,) * 4,
+                ancilla_enabled=False,
             )
-            tally = [0] * len(groups)
-            for mode, n in detected:
-                tally[group_index[(mode.port, mode.pol)]] += n
-            detector_occs.setdefault(tuple(tally), set()).add(detected)
-
-        for pattern in sorted(result.pattern_probs)[:5]:
-            oracle = np.zeros((4, 4), dtype=complex)
-            for detected in detector_occs[pattern]:
-                conditional, prob = post_select(evolved, dict(detected))
-                vectors: dict[tuple[int, int], np.ndarray] = {}
-                for occ, amp in conditional.terms.items():
-                    (mx, nx), (my, ny) = occ
-                    assert (mx.port, nx, my.port, ny) == (PORT_KEEP_A, 1, PORT_KEEP_B, 1)
-                    vec = vectors.setdefault(
-                        (mx.flavor, my.flavor), np.zeros(4, dtype=complex)
-                    )
-                    vec[2 * pol_index[mx.pol] + pol_index[my.pol]] = amp
-                for vec in vectors.values():
-                    oracle += prob * np.outer(vec, vec.conj())
-            rho = result.conditional_states[pattern]
-            assert np.max(np.abs(rho - oracle)) < 1e-12
+        )
 
     def test_run_fusion_is_deterministic(self):
         config = ExperimentConfig(overlap=0.93)
@@ -460,6 +505,69 @@ class TestFusionRuns:
     def test_unknown_input_rejected(self):
         with pytest.raises(ValueError, match="unknown fusion input"):
             run_fusion("everything", ExperimentConfig())
+
+
+def coherent_unboosted_state(config: ExperimentConfig) -> FockState:
+    """The unboosted bench with every photon in the coherent superposition
+    sqrt(w) |common> + sqrt(1 - w) |private>, w = sqrt(v), built from the
+    engine's primitives only: |+> photons 1-4, a PBS and plate per pair,
+    a coincidence projection on both pairs, and the fusing splitter."""
+    def photon(port: int, pid: int) -> FockState:
+        w = math.sqrt(config.photon_overlap(pid))
+        return superpose(
+            (math.sqrt(share) / SQ2, create_photons([(Mode(port, pol, flavor), 1)]))
+            for share, flavor in ((w, 0), (1.0 - w, pid))
+            for pol in (H, V)
+        )
+
+    pairs = []
+    for keep, fuse, pid_keep, pid_fuse in (
+        (PORT_KEEP_A, PORT_FUSE_A, 1, 2),
+        (PORT_KEEP_B, PORT_FUSE_B, 4, 3),
+    ):
+        state = compose(photon(keep, pid_keep), photon(fuse, pid_fuse))
+        state = apply_op(state, PolarizingBeamSplitter(keep, fuse))
+        state = apply_op(state, HalfWavePlate(fuse, 0.0))
+        state, _ = project_port_counts(state, {keep: 1, fuse: 1})
+        pairs.append(state)
+    return apply_op(compose(*pairs), BeamSplitter(PORT_FUSE_A, PORT_FUSE_B))
+
+
+def assert_matches_coherent_preparation(config: ExperimentConfig) -> None:
+    evolved = coherent_unboosted_state(config)
+    result = run_fusion(FULL_PREPARATION, config)
+    groups = detection_groups(config)
+    group_index = {g: i for i, g in enumerate(groups)}
+    analyzer_ports = {PORT_KEEP_A, PORT_KEEP_B}
+    pol_index = {H: 0, V: 1}
+
+    detector_occs: dict[tuple[int, ...], set] = {}
+    for occ, _ in evolved.items():
+        detected = tuple(e for e in occ if e[0].port not in analyzer_ports)
+        tally = [0] * len(groups)
+        for mode, n in detected:
+            tally[group_index[(mode.port, mode.pol)]] += n
+        detector_occs.setdefault(tuple(tally), set()).add(detected)
+    assert set(result.pattern_probs) == set(detector_occs)
+    assert set(result.conditional_states) == set(detector_occs)
+
+    for pattern, occs in detector_occs.items():
+        oracle = np.zeros((4, 4), dtype=complex)
+        for detected in occs:
+            conditional, prob = post_select(evolved, dict(detected))
+            vectors: dict[tuple[int, int], np.ndarray] = {}
+            for occ, amp in conditional.terms.items():
+                (mx, nx), (my, ny) = occ
+                assert (mx.port, nx, my.port, ny) == (PORT_KEEP_A, 1, PORT_KEEP_B, 1)
+                vec = vectors.setdefault(
+                    (mx.flavor, my.flavor), np.zeros(4, dtype=complex)
+                )
+                vec[2 * pol_index[mx.pol] + pol_index[my.pol]] = amp
+            for vec in vectors.values():
+                oracle += prob * np.outer(vec, vec.conj())
+        assert abs(result.pattern_probs[pattern] - np.trace(oracle).real) < 1e-12
+        rho = result.conditional_states[pattern]
+        assert np.max(np.abs(rho - oracle)) < 1e-12
 
 
 class TestDistinguishableOracle:
