@@ -335,8 +335,8 @@ class PercolateRunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if len(self.sizes) < 1 or any(s < 2 for s in self.sizes):
-            raise ValueError("sizes must all be at least 2")
+        if not self.sizes or min(self.sizes) < 2 or len(set(self.sizes)) < len(self.sizes):
+            raise ValueError("sizes must be distinct and all at least 2")
         if self.mode not in percolation.MODES:
             raise ValueError(f"mode must be one of {percolation.MODES}")
         if self.boundary not in percolation.BOUNDARIES:

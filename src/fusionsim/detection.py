@@ -222,7 +222,11 @@ def ppnrd_response(n: int, config: PPNRDConfig) -> list[float]:
     eta = config.efficiency
     probs = [0.0] * (k + 1)
     for d in range(n + 1):
-        p_detected = math.comb(n, d) * eta**d * (1.0 - eta) ** (n - d)
+        try:
+            p_detected = math.comb(n, d) * eta**d * (1.0 - eta) ** (n - d)
+        except OverflowError:  # C(n, d) exceeds every float, so 0 < d < n
+            p_detected = 0.0 if eta in (0.0, 1.0) else math.exp(
+                math.log(math.comb(n, d)) + d * math.log(eta) + (n - d) * math.log1p(-eta))
         if p_detected == 0.0:
             continue
         for c in range(min(d, k) + 1):

@@ -26,10 +26,9 @@ coincidence-rate estimators in :mod:`fusionsim.detection`.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ from .fock import (
     HalfWavePlate,
     Mode,
     Network,
-    Occupation,
     PhaseShift,
     PolarizingBeamSplitter,
     apply_network,
@@ -53,6 +51,7 @@ from .fock import (
     pattern_distribution,
     project_port_counts,
     superpose,
+    _group,
 )
 
 # Port map of the bench.
@@ -439,51 +438,41 @@ def run_fusion(
 # 2 * pol_x + pol_y with H = 0 and V = 1.
 # --------------------------------------------------------------------------
 
-_POL_INDEX = {H: 0, V: 1}
 
-
-def _analyzer_entry(occ: Occupation, port: int) -> int:
-    """Index in ``occ`` of the one photon on ``port``."""
-    # Occupations are sorted by mode, and modes by port first, so a port's
-    # entries are contiguous and ((port,),) sorts just before them.
-    i = bisect_left(occ, ((port,),))
-    if (
-        i == len(occ)
-        or occ[i][0].port != port
-        or occ[i][1] != 1
-        or (i + 1 < len(occ) and occ[i + 1][0].port == port)
-    ):
-        raise ValueError(f"state is not one photon on analyzer port {port}")
-    return i
+@lru_cache(maxsize=64)
+def _analyzer_probe(modes: tuple[Mode, ...], ports: tuple[int, int]) -> np.ndarray:
+    """One row per mode of ``modes``: a 1 in the mode's column once each
+    analyzer port's H and V are merged per flavor, then four flags (on
+    each of ``ports``, then V on each)."""
+    merged = [m._replace(pol=H) if m.port in ports else m for m in modes]
+    columns = sorted(set(merged))
+    probe = np.zeros((len(modes), len(columns) + 4), dtype=np.uint8)
+    for i, (m, key) in enumerate(zip(modes, merged)):
+        flags = [m.port == p for p in ports] + [m[:2] == (p, V) for p in ports]
+        probe[i, [columns.index(key), -4, -3, -2, -1]] = [1] + flags
+    probe.flags.writeable = False
+    return probe
 
 
 def pair_density(state: FockState, port_x: int, port_y: int) -> np.ndarray:
     """Polarization density matrix of the photons on two analyzer ports.
 
-    Each port must hold exactly one photon.  Terms are grouped by the
-    occupation of every other mode and the two photons' flavors; each group
-    is a 4-vector over (pol_x, pol_y), and the groups are orthogonal, so
-    rho = sum_k |a_k><a_k| traces out flavors and all other modes.  rho is
-    not normalized: its trace is the state's squared norm.
+    Each port must hold exactly one photon.  Rows are grouped by their
+    occupations with each analyzer port's H and V merged per flavor (every
+    other mode's count plus the two photons' flavors); each group is a
+    4-vector over (pol_x, pol_y) and the groups are orthogonal, so rho =
+    sum_k |a_k><a_k| traces out flavors and all other modes.  Its trace is
+    the state's squared norm.
     """
     if port_x == port_y:
         raise ValueError("analyzer needs two distinct ports")
-    first, second = sorted((port_x, port_y))
-    rows: dict[tuple, int] = {}
-    amps: list[complex] = []
-    for occ, amp in state.terms.items():
-        i = _analyzer_entry(occ, first)
-        j = _analyzer_entry(occ, second)
-        mx, my = occ[i][0], occ[j][0]
-        if port_x != first:
-            mx, my = my, mx
-        key = (occ[:i] + occ[i + 1 : j] + occ[j + 1 :], mx.flavor, my.flavor)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = len(rows)
-            amps.extend((0j, 0j, 0j, 0j))
-        amps[4 * row + 2 * _POL_INDEX[mx.pol] + _POL_INDEX[my.pol]] = amp
-    a = np.array(amps, dtype=complex).reshape(-1, 4)
+    probe = state.occ @ _analyzer_probe(state.modes, (port_x, port_y))
+    for port, count in zip((port_x, port_y), probe[:, -4:-2].T):
+        if (count != 1).any():
+            raise ValueError(f"state is not one photon on analyzer port {port}")
+    group, first = _group(probe[:, :-4])
+    a = np.zeros((len(first), 4), dtype=complex)
+    a[group, 2 * probe[:, -2] + probe[:, -1]] = state.amps
     return a.T @ a.conj()
 
 

@@ -1,19 +1,24 @@
-"""Sparse Fock-state representation and exact linear-optical evolution.
+"""Fock states as integer occupation rows, and exact linear-optical evolution.
 
-States are stored as sparse maps from occupation vectors to complex
-amplitudes.  An optical mode is labelled by a spatial port, a polarization
-(H or V), and an integer "flavor" indexing the photon's internal wave
-packet: flavor 0 is the common, mutually interfering wave packet, while
-distinct nonzero flavors are orthogonal to flavor 0 and to each other.
-The elements below never mix flavors, and photons of distinct flavors
-never interfere, so a partially distinguishable photon (common with some
-probability, private otherwise) is simulated as a classical mixture of
-states in which each photon has one flavor (experiment.flavor_branches).
+A state is a sorted tuple of modes, an integer occupation matrix with one
+row per term and one column per mode, and one complex amplitude per row.
+An optical mode is labelled by a spatial port, a polarization (H or V),
+and an integer "flavor" indexing the photon's internal wave packet: flavor
+0 is the common, mutually interfering wave packet, while distinct nonzero
+flavors are orthogonal to flavor 0 and to each other.  The elements below
+never mix flavors, and photons of distinct flavors never interfere, so a
+partially distinguishable photon (common with some probability, private
+otherwise) is simulated as a classical mixture of states in which each
+photon has one flavor (experiment.flavor_branches).
 
-Detectors are flavor-blind: :func:`partition` splits a state by the photon
-counts its detection groups see, and every Fock-state measurement (pattern
-distributions, port-count projections, the heralded parts whose analyzer
-density matrices experiment.pair_density builds) is read off the parts.
+Rows are grouped one way only, by :func:`_group`.  Evolution,
+:func:`compose` and :func:`superpose` sum equal rows in the order a
+term-by-term loop would, with complex products rounded as Python rounds
+them, so results are reproducible to the bit.  Detectors are flavor-blind:
+:func:`partition` splits a state by the photon counts its detection groups
+see, and every Fock-state measurement (pattern distributions, port-count
+projections, the heralded parts whose analyzer density matrices
+experiment.pair_density builds) is read off the parts.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -28,9 +33,12 @@ convention can be flipped).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+
+import numpy as np
 
 H = "H"
 V = "V"
@@ -77,41 +85,84 @@ def occupation(counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]]) -> Occup
     return tuple(sorted(merged.items()))
 
 
-def occupation_total(occ: Occupation) -> int:
-    return sum(n for _, n in occ)
+_ONES = [(256**k - 1) // 255 for k in range(MAX_PHOTONS + 1)]
+#: _SPAN[k, n]: a 64-bit word with bytes k - n .. k - 1 set to 1.
+_SPAN = np.array([[o - _ONES[max(k - n, 0)] for n in range(MAX_PHOTONS + 1)]
+                  for k, o in enumerate(_ONES)], dtype=np.uint64)
+
+
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number equal rows in order of first appearance: the group of each
+    row, and the index of each group's first row.  ``rows`` holds integer
+    keys, or occupation rows, each keyed exactly by its photons' columns
+    (column + 1, a byte per photon): at most 8 photons in under 255
+    columns fit 64 bits."""
+    if rows.ndim == 2:
+        if rows.shape[1] >= 255:
+            raise ValueError(f"{rows.shape[1]} modes exceed the row key's 254")
+        upto = np.cumsum(rows, axis=1, dtype=np.uint8)
+        rows = _SPAN[upto, rows] @ np.arange(1, rows.shape[1] + 1, dtype=np.uint64)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return np.argsort(order)[inverse], first[order]  # argsort inverts a permutation
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of x * y, rounded as Python rounds them."""
+    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+
+def _sum_by(group: np.ndarray, size: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Per-group sums of re + i im, each accumulated in input order (a weighted
+    bincount adds one weight at a time; 1j * x adds only signed zeros)."""
+    return np.bincount(group, re, size) + 1j * np.bincount(group, im, size)
 
 
 class FockState:
-    """Sparse superposition of occupation vectors with complex amplitudes.
+    """Superposition of occupation rows with complex amplitudes.
 
-    Instances are treated as immutable values; every operation returns a
-    new state.  All occupation vectors in a physical state share one total
-    photon number (linear optics conserves it), which :meth:`n_photons`
-    reports.
+    ``modes`` is a sorted tuple of modes, ``occ`` a matrix of photon
+    counts (terms x modes) with distinct rows of at most ``MAX_PHOTONS``
+    photons, and ``amps`` the row amplitudes.  Instances are immutable
+    values; every operation returns a new state.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("modes", "occ", "amps", "_terms")
 
     def __init__(self, terms: Mapping[Occupation, complex]):
-        self._terms = {occ: complex(amp) for occ, amp in terms.items() if amp != 0}
+        terms = {occ: complex(amp) for occ, amp in terms.items() if amp != 0}
+        self.modes = tuple(sorted({mode for occ in terms for mode, _ in occ}))
+        counts = [dict(key) for key in terms]
+        occ = np.array([[c.get(m, 0) for m in self.modes] for c in counts], dtype=int)
+        occ = occ.reshape(len(terms), len(self.modes))
+        if (occ.sum(axis=1) > MAX_PHOTONS).any():
+            raise ValueError(f"a term exceeds {MAX_PHOTONS} photons")
+        self.occ, self.amps = occ.astype(np.uint8), np.array(list(terms.values()), complex)
+        self._terms = None
 
     @classmethod
-    def _raw(cls, terms: dict[Occupation, complex]) -> "FockState":
-        # Internal constructor for already-canonical term dicts.
+    def _of(cls, modes: tuple[Mode, ...], occ: np.ndarray, amps: np.ndarray) -> FockState:
+        """Internal constructor for rows that are already distinct."""
         state = cls.__new__(cls)
-        state._terms = terms
+        state.modes, state.occ, state.amps, state._terms = modes, occ, amps, None
         return state
 
     @property
     def terms(self) -> Mapping[Occupation, complex]:
+        """Occupation -> amplitude, in row order."""
+        if self._terms is None:
+            self._terms = {
+                tuple((self.modes[c], n) for c, n in enumerate(row) if n): amp
+                for row, amp in zip(self.occ.tolist(), self.amps.tolist())
+            }
         return self._terms
 
     def items(self) -> list[tuple[Occupation, complex]]:
         """Terms in canonical (lexicographic) order."""
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.amps)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
@@ -119,39 +170,48 @@ class FockState:
         return self.items() == other.items()
 
     def __repr__(self) -> str:
-        if not self._terms:
-            return "FockState(0)"
-        parts = []
-        for occ, amp in self.items()[:6]:
-            ket = ",".join(f"{n}@{m!r}" for m, n in occ) if occ else "vac"
-            parts.append(f"({amp:.4g})|{ket}>")
-        more = "" if len(self._terms) <= 6 else f" ... ({len(self._terms)} terms)"
-        return " + ".join(parts) + more
+        kets = [f"({amp:.4g})|{','.join(f'{n}@{m!r}' for m, n in occ) or 'vac'}>"
+                for occ, amp in self.items()[:6]]
+        more = f" ... ({len(self)} terms)" if len(self) > 6 else ""
+        return " + ".join(kets) + more if kets else "FockState(0)"
 
     def amplitude(self, occ: Occupation) -> complex:
-        return self._terms.get(occ, 0j)
+        return self.terms.get(occ, 0j)
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for a in self._terms.values())
+        # Python's abs, not numpy's, which rounds differently.
+        return math.fsum(abs(a) ** 2 for a in self.amps.tolist())
 
-    def normalized(self) -> "FockState":
+    def normalized(self) -> FockState:
         n2 = self.norm_squared()
         if n2 == 0.0:
             return FockState({})
-        scale = 1.0 / math.sqrt(n2)
-        return FockState({occ: amp * scale for occ, amp in self._terms.items()})
+        # A complex times a real rounds each part once, fused or not.
+        return FockState._of(self.modes, self.occ, self.amps * (1.0 / math.sqrt(n2)))
 
     def n_photons(self) -> int:
-        """Total photon number, identical across terms by construction."""
-        totals = {occupation_total(occ) for occ in self._terms}
-        if not totals:
-            return 0
+        """Total photon number, which linear optics keeps equal across terms."""
+        totals = sorted(set(self.occ.sum(axis=1).tolist())) or [0]
         if len(totals) > 1:
-            raise ValueError(f"state mixes photon numbers {sorted(totals)}")
-        return totals.pop()
+            raise ValueError(f"state mixes photon numbers {totals}")
+        return totals[0]
 
     def ports(self) -> set[int]:
-        return {m.port for occ in self._terms for m, _ in occ}
+        return {m.port for m, live in zip(self.modes, self.occ.any(axis=0)) if live}
+
+
+def _widened(state: FockState, modes: tuple[Mode, ...]) -> np.ndarray:
+    """``state``'s occupation matrix over ``modes``, a superset of its own."""
+    occ = np.zeros((len(state), len(modes)), dtype=np.uint8)
+    occ[:, [modes.index(m) for m in state.modes]] = state.occ
+    return occ
+
+
+def _merged(modes: tuple[Mode, ...], occ: np.ndarray, re, im) -> FockState:
+    """Rows ``occ`` with amplitudes re + i im, equal rows summed, zeros dropped."""
+    group, first = _group(occ)
+    amps = _sum_by(group, len(first), re, im)
+    return FockState._of(modes, occ[first[amps != 0]], amps[amps != 0])
 
 
 def vacuum() -> FockState:
@@ -172,9 +232,6 @@ def create_photons(placements: Iterable[tuple[Mode, int]]) -> FockState:
         if mode.pol not in POLARIZATIONS:
             raise ValueError(f"unknown polarization {mode.pol!r}")
         seen[mode] = n
-    total = sum(seen.values())
-    if total > MAX_PHOTONS:
-        raise ValueError(f"{total} photons exceed the maximum of {MAX_PHOTONS}")
     return FockState({occupation(seen): 1.0})
 
 
@@ -238,149 +295,108 @@ def op_ports(op: ElementaryOp) -> tuple[int, ...]:
 def _snap(x: float) -> float:
     # cos/sin of special angles miss exact 0 / +-1 by ~1e-16; snapping keeps
     # single-element matrices exactly sparse without affecting unitarity.
-    for target in (0.0, 1.0, -1.0):
-        if abs(x - target) < 1e-15:
-            return target
-    return x
+    return next((t for t in (0.0, 1.0, -1.0) if abs(x - t) < 1e-15), x)
 
 
 def _mode_image(op: ElementaryOp, m: Mode):
-    """Creation-operator substitution for ``m``, or None if untouched."""
+    """Creation-operator substitution for ``m``, a mode on ``op``'s ports."""
     if isinstance(op, BeamSplitter):
+        t, r = math.sqrt(op.transmissivity), math.sqrt(1.0 - op.transmissivity)
         if m.port == op.port_a:
-            t = math.sqrt(op.transmissivity)
-            r = math.sqrt(1.0 - op.transmissivity)
-            return (
-                (m, complex(t)),
-                (Mode(op.port_b, m.pol, m.flavor), complex(r)),
-            )
-        if m.port == op.port_b:
-            t = math.sqrt(op.transmissivity)
-            r = math.sqrt(1.0 - op.transmissivity)
-            return (
-                (Mode(op.port_a, m.pol, m.flavor), complex(r)),
-                (m, complex(-t)),
-            )
-        return None
+            return ((m, complex(t)), (Mode(op.port_b, m.pol, m.flavor), complex(r)))
+        return ((Mode(op.port_a, m.pol, m.flavor), complex(r)), (m, complex(-t)))
     if isinstance(op, PhaseShift):
-        if m.port == op.port:
-            return ((m, complex(math.cos(op.phase), math.sin(op.phase))),)
-        return None
+        return ((m, complex(math.cos(op.phase), math.sin(op.phase))),)
     if isinstance(op, HalfWavePlate):
-        if m.port != op.port:
-            return None
-        c = _snap(math.cos(2.0 * op.angle))
-        s = _snap(math.sin(2.0 * op.angle))
-        if m.pol == H:
-            image = ((m, complex(c)), (Mode(m.port, V, m.flavor), complex(s)))
-        else:
-            image = ((Mode(m.port, H, m.flavor), complex(s)), (m, complex(-c)))
-        return tuple((mode, coeff) for mode, coeff in image if coeff != 0)
+        c, s = _snap(math.cos(2.0 * op.angle)), _snap(math.sin(2.0 * op.angle))
+        h, v = Mode(m.port, H, m.flavor), Mode(m.port, V, m.flavor)
+        image = ((h, c), (v, s)) if m.pol == H else ((h, s), (v, -c))
+        return tuple((mode, complex(coeff)) for mode, coeff in image if coeff != 0)
     if isinstance(op, PolarizingBeamSplitter):
-        if m.port == op.port_a:
-            if m.pol == H:
-                return ((m, 1.0 + 0j),)
-            return ((Mode(op.port_b, V, m.flavor), PBS_REFLECTION_PHASE),)
-        if m.port == op.port_b:
-            if m.pol == H:
-                return ((m, 1.0 + 0j),)
-            return ((Mode(op.port_a, V, m.flavor), PBS_REFLECTION_PHASE),)
-        return None
+        if m.pol == H:
+            return ((m, 1.0 + 0j),)
+        other = op.port_b if m.port == op.port_a else op.port_a
+        return ((Mode(other, V, m.flavor), PBS_REFLECTION_PHASE),)
     raise TypeError(f"unknown element {op!r}")
 
 
-def _power_expansion(image, n: int) -> dict[Occupation, complex]:
-    """Expand (sum_j c_j b_j)^n into monomials over the image modes."""
-    if len(image) == 1:
-        mode, c = image[0]
-        return {((mode, n),): c**n}
-    (m1, c1), (m2, c2) = image
-    out: dict[Occupation, complex] = {}
-    for k in range(n + 1):
-        coeff = math.comb(n, k) * (c1**k) * (c2 ** (n - k))
-        if coeff == 0:
-            continue
-        parts = []
-        if k:
-            parts.append((m1, k))
-        if n - k:
-            parts.append((m2, n - k))
-        out[tuple(sorted(parts))] = coeff
-    return out
-
-
-def _poly_product(
-    p1: dict[Occupation, complex], p2: dict[Occupation, complex]
-) -> dict[Occupation, complex]:
-    out: dict[Occupation, complex] = {}
-    for mono1, c1 in p1.items():
-        for mono2, c2 in p2.items():
-            merged: dict[Mode, int] = dict(mono1)
-            for mode, n in mono2:
-                merged[mode] = merged.get(mode, 0) + n
-            key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
-
-
-def _count_factorial(occ: Occupation) -> int:
-    f = 1
-    for _, n in occ:
-        f *= math.factorial(n)
-    return f
+@functools.lru_cache(maxsize=4096)
+def _expansion(op: ElementaryOp, acted: Occupation):
+    """Image of the sub-occupation ``acted`` on ``op``'s ports: (modes,
+    counts, weights), one read-only row of ``counts`` over ``modes`` per
+    output monomial in order of first production.  Each acted mode's (sum_j
+    c_j b_j)^n is expanded binomially, and sqrt(n!) weights are restored."""
+    images = [_mode_image(op, mode) for mode, _ in acted]
+    modes = sorted({mode for image in images for mode, _ in image})
+    poly = {(0,) * len(modes): 1.0 + 0j}
+    denom = 1.0
+    for (_, n), image in zip(acted, images):
+        denom *= math.factorial(n)
+        (m1, c1), (m2, c2) = (image * 2)[:2]  # a one-mode image takes k = n only
+        power = []
+        for k in range(n + 1) if len(image) == 2 else (n,):
+            coeff = math.comb(n, k) * c1**k * c2 ** (n - k)
+            if coeff != 0:
+                vec = [0] * len(modes)
+                vec[modes.index(m1)] += k
+                vec[modes.index(m2)] += n - k
+                power.append((vec, coeff))
+        product: dict[tuple[int, ...], complex] = {}
+        for mono, c in poly.items():
+            for vec, p in power:
+                key = tuple(a + b for a, b in zip(mono, vec))
+                product[key] = product.get(key, 0j) + c * p
+        poly = product
+    root = math.sqrt(denom)
+    counts = np.array(list(poly), dtype=np.uint8).reshape(len(poly), len(modes))
+    weights = np.array([c * math.sqrt(math.prod(map(math.factorial, mono))) / root
+                        for mono, c in poly.items()])
+    counts.flags.writeable = weights.flags.writeable = False
+    return modes, counts, weights
 
 
 def apply_op(state: FockState, op: ElementaryOp) -> FockState:
     """Evolve ``state`` through one element.
 
-    Exact creation-operator substitution: each term is expanded
-    multinomially over the element's single-photon transfer matrix, with
-    the bosonic sqrt(n!) weights restored on the output monomials.  Photon
-    number and norm are conserved up to floating-point rounding.
+    Each distinct sub-row on the element's ports is expanded once (and
+    memoized) by :func:`_expansion`.  An output row is an input row with
+    that sub-row replaced by one monomial; equal output rows are summed in
+    input-row, then monomial, order.  Photon number and norm are conserved.
     """
-    out: dict[Occupation, complex] = {}
-    out_get = out.get
-    image_cache: dict[Mode, object] = {}
-    # Expansions depend only on the acted sub-occupation, which repeats
-    # constantly across terms, so they are computed once per call.
-    expansion_cache: dict[Occupation, list[tuple[Occupation, complex]]] = {}
-    acted_ports = set(op_ports(op))
-    for occ, amp in state.terms.items():
-        acted: list[tuple[Mode, int]] = []
-        spectators: list[tuple[Mode, int]] = []
-        for entry in occ:
-            if entry[0].port in acted_ports:
-                acted.append(entry)
-            else:
-                spectators.append(entry)
-        if not acted:
-            out[occ] = out_get(occ, 0j) + amp
-            continue
-        acted_key = tuple(acted)
-        expansion = expansion_cache.get(acted_key)
-        if expansion is None:
-            poly: dict[Occupation, complex] = {(): 1.0 + 0j}
-            denom = 1.0
-            for mode, n in acted:
-                image = image_cache.get(mode)
-                if image is None:
-                    image = image_cache[mode] = _mode_image(op, mode)
-                denom *= math.factorial(n)
-                poly = _poly_product(poly, _power_expansion(image, n))
-            root = math.sqrt(denom)
-            expansion = [
-                (mono, coeff * math.sqrt(_count_factorial(mono)) / root)
-                for mono, coeff in poly.items()
-            ]
-            expansion_cache[acted_key] = expansion
-        spect = tuple(spectators)
-        for mono, weight in expansion:
-            key = tuple(sorted(spect + mono))
-            out[key] = out_get(key, 0j) + amp * weight
-    # Pruned in place: a filtered copy would double the peak term storage.
-    for occ in [occ for occ, a in out.items() if abs(a) <= PRUNE_EPS]:
-        del out[occ]
-    return FockState._raw(out)
+    if not len(state):
+        return state
+    ports = op_ports(op)
+    images = [_mode_image(op, mode) for mode in state.modes if mode.port in ports]
+    modes = tuple(sorted({m for image in images for m, _ in image}.union(state.modes)))
+    occ = _widened(state, modes)
+    acted = [c for c, mode in enumerate(modes) if mode.port in ports]
+    rest = [c for c, mode in enumerate(modes) if mode.port not in ports]
+
+    kind, first = _group(occ[:, acted])
+    monos, weights = [], []
+    for sub in occ[first][:, acted].tolist():
+        sub_occ = tuple((modes[c], n) for c, n in zip(acted, sub) if n)
+        image, counts, weight = _expansion(op, sub_occ)
+        monos.append(np.zeros((len(counts), len(acted)), dtype=np.uint8))
+        monos[-1][:, [acted.index(modes.index(m)) for m in image]] = counts
+        weights.append(weight)
+    mono, weight = np.concatenate(monos), np.concatenate(weights)
+
+    # Output candidate j pairs input row[j] with monomial pick[j], in term-loop order.
+    lengths = np.array([len(w) for w in weights])
+    per_row = lengths[kind]
+    row = np.repeat(np.arange(len(state)), per_row)
+    offset = (np.cumsum(lengths) - lengths)[kind] - (np.cumsum(per_row) - per_row)
+    pick = np.arange(len(row)) + np.repeat(offset, per_row)
+    spectator, _ = _group(occ[:, rest])
+    monomial, _ = _group(mono)
+    out, head = _group(spectator[row] * len(mono) + monomial[pick])
+    amps = _sum_by(out, len(head), *_product(state.amps[row], weight[pick]))
+
+    keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS  # Python's abs, bit for bit
+    new = occ[row[head[keep]]]
+    new[:, acted] = mono[pick[head[keep]]]
+    return FockState._of(modes, new, amps[keep])
 
 
 @dataclass(frozen=True)
@@ -407,81 +423,67 @@ def apply_network(state: FockState, network: Network) -> FockState:
 # --------------------------------------------------------------------------
 # Measurement-side helpers
 #
-# partition is the one place that counts photons per detection group; the
-# pattern distribution, the port-count projection and the heralded parts of
-# experiment.run_fusion are read off its parts.  post_select conditions on
-# exact mode counts by its own loop, so tests can check the heralded
-# density matrices against it.
+# partition is the one place that counts photons per detection group, as the
+# occupation matrix times a group-membership matrix; the pattern distribution,
+# the port-count projection and experiment.run_fusion's heralded parts are
+# read off its parts.  post_select masks rows on exact mode counts on its own,
+# so tests can check the heralded density matrices against it.
 # --------------------------------------------------------------------------
 
 
-def post_select(
-    state: FockState, pattern: Mapping[Mode, int]
-) -> tuple[FockState, float]:
+def post_select(state: FockState, pattern: Mapping[Mode, int]) -> tuple[FockState, float]:
     """Condition on exact counts over a subset of modes.
 
     The pattern modes are consumed: the returned state lives on the
     remaining modes and is renormalized.  A pattern with no support
     returns probability 0 and an empty state.
     """
-    pattern = dict(pattern)
-    kept: dict[Occupation, complex] = {}
-    prob = 0.0
-    for occ, amp in state.terms.items():
-        counts = dict(occ)
-        if any(counts.get(m, 0) != n for m, n in pattern.items()):
-            continue
-        prob += abs(amp) ** 2
-        rest = tuple((m, n) for m, n in occ if m not in pattern)
-        kept[rest] = kept.get(rest, 0j) + amp
-    if prob == 0.0:
-        return FockState({}), 0.0
-    scale = 1.0 / math.sqrt(prob)
-    return FockState({occ: amp * scale for occ, amp in kept.items()}), prob
+    mask = np.ones(len(state), dtype=bool)
+    for mode, n in pattern.items():
+        mask &= (state.occ[:, state.modes.index(mode)] if mode in state.modes else 0) == n
+    # Selected rows agree on the pattern columns, so dropping them keeps rows distinct.
+    kept = [c for c, mode in enumerate(state.modes) if mode not in pattern]
+    modes = tuple(state.modes[c] for c in kept)
+    rest = FockState._of(modes, state.occ[mask][:, kept], state.amps[mask])
+    prob = rest.norm_squared()
+    return (rest.normalized(), prob) if prob else (FockState({}), 0.0)
 
 
 #: A detection group: spatial port plus polarization, or a whole port
 #: when the polarization slot is None.  Detectors cannot resolve flavor.
 Group = tuple[int, Union[str, None]]
+#: Photon counts seen by each of a list of detection groups.
+Pattern = tuple[int, ...]
 
 
-def _group_index(groups: Sequence[Group]):
-    table: dict[tuple[int, str], int] = {}
-    for gi, (port, pol) in enumerate(groups):
-        pols = POLARIZATIONS if pol is None else (pol,)
-        for p in pols:
-            key = (port, p)
-            if key in table:
-                raise ValueError(f"groups overlap on port {port} polarization {p}")
-            table[key] = gi
-    return table
-
-
-def partition(
-    state: FockState, groups: Sequence[Group]
-) -> dict[tuple[int, ...], FockState]:
+def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockState]:
     """Split a state by its flavor-blind photon counts over detection groups.
 
     Occupations are summed over flavor (and over polarization for
     port-only groups); modes outside every group are not counted.  Each
-    term lands, unchanged, in the part keyed by its counts, so the parts
-    are orthogonal and their squared norms sum to the state's.
+    row lands, unchanged and in order, in the part keyed by its counts
+    (parts in order of their first rows), so the parts are orthogonal.
     """
-    table = _group_index(groups)
-    parts: dict[tuple[int, ...], dict[Occupation, complex]] = {}
-    for occ, amp in state.terms.items():
-        counts = [0] * len(groups)
-        for mode, n in occ:
-            gi = table.get((mode.port, mode.pol))
-            if gi is not None:
-                counts[gi] += n
-        parts.setdefault(tuple(counts), {})[occ] = amp
-    return {key: FockState._raw(terms) for key, terms in parts.items()}
+    slots = [(port, p) for port, pol in groups for p in ((pol,) if pol else POLARIZATIONS)]
+    if len(set(slots)) < len(slots):
+        raise ValueError(f"detection groups overlap: {list(groups)}")
+    member = np.array([[m.port == port and pol in (None, m.pol) for port, pol in groups]
+                       for m in state.modes], dtype=np.uint8).reshape(-1, len(groups))
+    counts = state.occ @ member
+    part, first = _group(counts)
+    # One stable gather makes every part a contiguous run of rows.
+    order = np.argsort(part, kind="stable")
+    occ, amps = state.occ[order], state.amps[order]
+    ends = np.cumsum(np.bincount(part)).tolist()
+    return {
+        tuple(key): FockState._of(state.modes, occ[start:end], amps[start:end])
+        for key, start, end in zip(counts[first].tolist(), [0] + ends, ends)
+    }
 
 
 def pattern_distribution(
     state: FockState, groups: Sequence[Group]
-) -> dict[tuple[int, ...], float]:
+) -> dict[Pattern, float]:
     """Flavor-blind photon-number distribution over detection groups: the
     squared norm of each :func:`partition` part.  Modes outside every
     group are marginalized; for a normalized state the probabilities sum
@@ -498,10 +500,14 @@ def project_port_counts(
     can keep evolving; this models heralding on a coincidence without
     destroying the photons.
     """
-    part = partition(state, [(port, None) for port in counts]).get(
-        tuple(counts.values()), FockState({})
-    )
+    parts = partition(state, [(port, None) for port in counts])
+    part = parts.get(tuple(counts.values()), FockState({}))
     return part.normalized(), part.norm_squared()
+
+
+#: _SQRT_BINOM[p, n] = sqrt(C(p + n, n)): the weight of stacking n photons onto p.
+_SQRT_BINOM = np.sqrt([[math.comb(p + n, n) for n in range(MAX_PHOTONS + 1)]
+                       for p in range(MAX_PHOTONS + 1)])
 
 
 def compose(*states: FockState) -> FockState:
@@ -514,30 +520,27 @@ def compose(*states: FockState) -> FockState:
     """
     result = vacuum()
     for state in states:
-        out: dict[Occupation, complex] = {}
-        for occ1, a1 in result.terms.items():
-            for occ2, a2 in state.terms.items():
-                merged = dict(occ1)
-                weight = a1 * a2
-                for mode, n in occ2:
-                    prior = merged.get(mode, 0)
-                    if prior:
-                        weight *= math.sqrt(math.comb(prior + n, n))
-                    merged[mode] = prior + n
-                if sum(merged.values()) > MAX_PHOTONS:
-                    raise ValueError(
-                        f"composite state exceeds {MAX_PHOTONS} photons"
-                    )
-                key = tuple(sorted(merged.items()))
-                out[key] = out.get(key, 0j) + weight
-        result = FockState(out)
+        modes = tuple(sorted(set(result.modes).union(state.modes)))
+        a, b = _widened(result, modes), _widened(state, modes)
+        occ = (a[:, None, :] + b[None, :, :]).reshape(-1, len(modes))
+        if (occ.sum(axis=1) > MAX_PHOTONS).any():
+            raise ValueError(f"composite state exceeds {MAX_PHOTONS} photons")
+        re, im = _product(np.repeat(result.amps, len(b)), np.tile(state.amps, len(a)))
+        # Stacking weights, one shared mode at a time.
+        for c in np.flatnonzero(a.any(axis=0) & b.any(axis=0)):
+            weight = _SQRT_BINOM[a[:, c][:, None], b[:, c][None, :]].ravel()
+            re, im = re * weight, im * weight
+        result = _merged(modes, occ, re, im)
     return result
 
 
 def superpose(parts: Iterable[tuple[complex, FockState]]) -> FockState:
     """Linear combination of states (not renormalized)."""
-    out: dict[Occupation, complex] = {}
-    for coeff, state in parts:
-        for occ, amp in state.terms.items():
-            out[occ] = out.get(occ, 0j) + coeff * amp
-    return FockState(out)
+    parts = [(complex(coeff), state) for coeff, state in parts if len(state)]
+    if not parts:
+        return FockState({})
+    modes = tuple(sorted({m for _, state in parts for m in state.modes}))
+    occ = np.concatenate([_widened(state, modes) for _, state in parts])
+    coeffs = np.concatenate([np.full(len(state), c) for c, state in parts])
+    amps = np.concatenate([state.amps for _, state in parts])
+    return _merged(modes, occ, *_product(coeffs, amps))

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,9 @@ from fusionsim.cli import (
     RateRunConfig,
     main,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def read(path):
@@ -100,6 +104,26 @@ class TestFusionCommand:
         assert payload["columns"] == ["outcome", "probability", "stderr"]
         totals = [r for r in payload["rows"] if r[0] == "total_success"]
         assert abs(totals[0][1] - 0.75) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fusion", ["fusion"]),
+        ("fusion-no-ancilla", ["fusion", "--no-ancilla"]),
+        ("phase-sweep", ["sweep", "--kind", "phase", "--grid", "0:6.9:24"]),
+    ],
+)
+def test_artifacts_match_recorded_bytes(tmp_path, name, argv):
+    """Artifacts of the exact fusion engine, pinned byte for byte against
+    the copies in tests/data: a change in the engine's term order or
+    rounding that reaches an artifact shows here first."""
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 0
+    recorded = sorted((DATA / name).iterdir())
+    assert recorded
+    for ref in recorded:
+        assert read(out / ref.name) == read(ref), ref.name
 
 
 class TestSweepCommand:
@@ -241,6 +265,8 @@ class TestPercolateCommand:
             ([], {"sizes": 5}),
             (["--sizes", "4,6", "--seed", "-20"], None),
             (["--grid", "0.4:x:0.1"], None),
+            (["--sizes", "4,4", "--trials", "2", "--grid", "0.2:0.8:0.3"], None),
+            (["--sizes", "4,4,6", "--trials", "2", "--grid", "0.2:0.8:0.3"], None),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, flags, config):

@@ -87,6 +87,18 @@ class TestPPNRD:
             for eta in (1.0, 0.5):
                 assert abs(sum(ppnrd_response(n, PPNRDConfig(4, eta))) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("eta", [1.0, 0.72])
+    def test_large_photon_number(self, eta):
+        """C(2000, d) overflows a float, yet the distribution sums to 1, and
+        three clicks keep their closed form: each photon misses one given
+        cell with probability 1 - eta/4, and three cells missed at once
+        (2 clicks or fewer) are far below double precision."""
+        n = 2000
+        dist = ppnrd_response(n, PPNRDConfig(4, eta))
+        assert abs(sum(dist) - 1.0) < 1e-12
+        assert max(dist[:3]) < 1e-300
+        assert abs(dist[3] / (4 * (1 - eta / 4) ** n) - 1.0) < 1e-9
+
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
             ppnrd_response(-1, PPNRDConfig())

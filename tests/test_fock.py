@@ -1,5 +1,6 @@
 """Core state representation and element algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -375,3 +376,103 @@ class TestInvariants:
                 state, {0: counts[0], 1: counts[1], 2: counts[2]}
             )
             assert abs(prob - dist[counts]) < 1e-12
+
+
+class TestPermanentOracle:
+    """Every output amplitude of a network is a permanent of its
+    single-photon transfer matrix U: <T|U|S> = Perm(U[T, S]) / sqrt(prod
+    s! prod t!), with T and S the output and input photons listed by mode,
+    repeated by occupation.  U is built here from the stated conventions
+    (beam splitter a -> t a + r b, b -> r a - t b; PBS transmits H and
+    reflects V with phase i; half-wave plate H -> cos 2x H + sin 2x V,
+    V -> sin 2x H - cos 2x V; phase e^(i phi) on every mode of a port), and
+    the permanent by summing over permutations."""
+
+    PORTS = (0, 1, 2)
+    MODES = [(p, pol, f) for p in PORTS for pol in (H, V) for f in (0, 1)]
+
+    @staticmethod
+    def image(element, port, pol):
+        """(port, pol) -> list of ((port, pol), coefficient) under one element."""
+        kind, *args = element
+        if kind == "bs":
+            a, b, trans = args
+            t, r = math.sqrt(trans), math.sqrt(1 - trans)
+            if port == a:
+                return [((a, pol), t), ((b, pol), r)]
+            if port == b:
+                return [((a, pol), r), ((b, pol), -t)]
+        elif kind == "ps" and port == args[0]:
+            return [((port, pol), complex(math.cos(args[1]), math.sin(args[1])))]
+        elif kind == "hwp" and port == args[0]:
+            c, s = math.cos(2 * args[1]), math.sin(2 * args[1])
+            if pol == H:
+                return [((port, H), c), ((port, V), s)]
+            return [((port, H), s), ((port, V), -c)]
+        elif kind == "pbs" and port in args and pol == V:
+            other = args[1] if port == args[0] else args[0]
+            return [((other, V), 1j)]
+        return [((port, pol), 1.0)]
+
+    def transfer_matrix(self, elements):
+        index = {m: i for i, m in enumerate(self.MODES)}
+        total = np.eye(len(self.MODES), dtype=complex)
+        for element in elements:
+            u = np.zeros_like(total)
+            for (port, pol, flavor), j in index.items():
+                for (p2, pol2), c in self.image(element, port, pol):
+                    u[index[(p2, pol2, flavor)], j] += c
+            total = u @ total
+        return total
+
+    @staticmethod
+    def as_op(element):
+        kind, *args = element
+        cls = {"bs": BeamSplitter, "ps": PhaseShift, "hwp": HalfWavePlate,
+               "pbs": PolarizingBeamSplitter}[kind]
+        return cls(*args)
+
+    def random_element(self, rng):
+        a, b = (int(x) for x in rng.choice(self.PORTS, size=2, replace=False))
+        kind = rng.choice(["bs", "ps", "hwp", "pbs"])
+        if kind == "bs":
+            return ("bs", a, b, float(rng.choice([0.5, rng.random()])))
+        if kind == "ps":
+            return ("ps", a, float(rng.uniform(-math.pi, math.pi)))
+        if kind == "hwp":
+            return ("hwp", a, float(rng.choice([0.0, math.pi / 8, math.pi / 4, rng.random()])))
+        return ("pbs", a, b)
+
+    @staticmethod
+    def permanent(m):
+        n = len(m)
+        return sum(
+            math.prod(m[k][sigma[k]] for k in range(n))
+            for sigma in itertools.permutations(range(n))
+        )
+
+    def test_amplitudes_are_permanents(self):
+        rng = np.random.default_rng(2024)
+        index = {m: i for i, m in enumerate(self.MODES)}
+        for _ in range(60):
+            elements = [self.random_element(rng) for _ in range(int(rng.integers(1, 6)))]
+            u = self.transfer_matrix(elements)
+            photons = [self.MODES[i] for i in rng.integers(len(self.MODES), size=int(rng.integers(1, 5)))]
+            counts = {m: photons.count(m) for m in set(photons)}
+            out = apply_network(
+                create_photons([(Mode(*m), n) for m, n in counts.items()]),
+                Network(ops=tuple(self.as_op(e) for e in elements), ports=self.PORTS),
+            )
+            cols = [index[m] for m in sorted(photons)]
+            in_norm = math.prod(math.factorial(n) for n in counts.values())
+            covered = 0.0
+            for occ, amp in out.terms.items():
+                rows = [index[tuple(m)] for m, n in occ for _ in range(n)]
+                out_norm = math.prod(math.factorial(n) for _, n in occ)
+                sub = [[u[r, c] for c in cols] for r in rows]
+                expected = self.permanent(sub) / math.sqrt(in_norm * out_norm)
+                assert abs(amp - expected) < 1e-12, (elements, counts, occ)
+                covered += abs(expected) ** 2
+            # U is unitary, so the oracle's own weight on the engine's terms
+            # reaching 1 means no output term is missing.
+            assert abs(covered - 1.0) < 1e-12
