@@ -29,7 +29,6 @@ from .experiment import (
     singlet_fidelity,
 )
 from .detection import (
-    DiscriminationTable,
     OutcomeStats,
     PPNRDConfig,
     estimate_fidelity_singlet,
@@ -37,7 +36,7 @@ from .detection import (
     ppnrd_response,
     success_probability,
 )
-from .fock import FockState, Mode, Network, apply_network, apply_op, create_photons
+from .fock import FockState, Mode, apply_network, apply_op, create_photons
 from .percolation import (
     Lattice,
     PercModel,
@@ -45,8 +44,6 @@ from .percolation import (
     build_square_lattice,
     direct_monte_carlo,
     estimate_threshold,
-    largest_cluster_curves,
-    sweep_curve,
     sweep_curves,
 )
 
@@ -54,14 +51,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellLabel",
-    "DiscriminationTable",
     "ExperimentConfig",
     "FULL_PREPARATION",
     "FockState",
     "FusionResult",
     "Lattice",
     "Mode",
-    "Network",
     "OutcomeStats",
     "PPNRDConfig",
     "PercModel",
@@ -75,7 +70,6 @@ __all__ = [
     "estimate_threshold",
     "hom_dip",
     "hom_visibility",
-    "largest_cluster_curves",
     "nfold_rate",
     "phase_sweep",
     "ppnrd_response",
@@ -84,6 +78,5 @@ __all__ = [
     "run_fusion",
     "singlet_fidelity",
     "success_probability",
-    "sweep_curve",
     "sweep_curves",
 ]

@@ -199,7 +199,6 @@ class FusionRunConfig:
             overlap=self.visibility,
             ancilla_enabled=self.ancilla,
             phase=self.phase,
-            seed=self.seed,
         )
 
 
@@ -588,6 +587,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("threads must be positive")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 the derived estimators (success probability, heralded-state fidelity,
 coincidence rates).
 
-The discrimination table is data-driven: a photon-number pattern heralds a
-Bell state exactly when it appears in the ideal output distribution of that
-input and of no other.  Every ambiguous or unseen pattern is a failure.
+The discrimination table is a plain dict, derived from data: a
+photon-number pattern heralds a Bell state exactly when it appears in the
+ideal output distribution of that input and of no other, and maps to None
+when several inputs reach it.  Every ambiguous pattern is a failure, and so
+is every pattern absent from the table (an unseen one, or a click signature
+whose total differs from the photon number, since no key has that total).
 Detectors are modelled as 1-to-k splitters feeding k binary detectors
 (pseudo photon-number resolution): a pattern is fully resolved only when
 every photon lands on its own sub-detector and registers, which is what the
@@ -46,40 +49,13 @@ class PPNRDConfig:
             raise ValueError("efficiency must lie in [0, 1]")
 
 
-class DiscriminationTable:
-    """Pattern -> Bell outcome map; unknown patterns read as failures."""
-
-    def __init__(
-        self,
-        assignments: Mapping[Pattern, Optional[BellLabel]],
-        expected_photons: int,
-    ):
-        self._assignments = dict(assignments)
-        self.expected_photons = expected_photons
-
-    @property
-    def assignments(self) -> Mapping[Pattern, Optional[BellLabel]]:
-        return self._assignments
-
-    def outcome(self, pattern: Pattern) -> Optional[BellLabel]:
-        return self._assignments.get(pattern)
-
-    def outcome_from_clicks(self, clicks: Pattern) -> Optional[BellLabel]:
-        """Raw-click classification: a click signature is accepted only
-        when every photon resolved (total clicks equal the expected photon
-        number), in which case it reads as the corresponding pattern."""
-        if sum(clicks) != self.expected_photons:
-            return None
-        return self._assignments.get(clicks)
-
-
 def derive_discrimination_table(
     ideal_distributions: Mapping[BellLabel, Mapping[Pattern, float]],
-) -> DiscriminationTable:
+) -> dict[Pattern, Optional[BellLabel]]:
     """Build the table from the four ideal (perfect-overlap) distributions.
 
     A pattern maps to the one Bell input whose ideal distribution contains
-    it; patterns reachable from two or more inputs map to failure.
+    it; patterns reachable from two or more inputs map to failure (None).
     """
     supports: dict[BellLabel, set[Pattern]] = {
         label: {p for p, prob in dist.items() if prob > SUPPORT_EPS}
@@ -97,10 +73,10 @@ def derive_discrimination_table(
                 assignments[pattern] = None
             else:
                 assignments[pattern] = label
-    return DiscriminationTable(assignments, expected_photons=totals.pop())
+    return assignments
 
 
-def ideal_table(config: ExperimentConfig) -> DiscriminationTable:
+def ideal_table(config: ExperimentConfig) -> dict[Pattern, Optional[BellLabel]]:
     """Discrimination table for the configured topology at perfect overlap."""
     ideal_config = replace(config, overlap=1.0, phase=0.0, per_photon_overlap=None)
     distributions = {
@@ -110,35 +86,21 @@ def ideal_table(config: ExperimentConfig) -> DiscriminationTable:
 
 
 def classify_distribution(
-    pattern_probs: Mapping[Pattern, float], table: DiscriminationTable
+    pattern_probs: Mapping[Pattern, float], table: Mapping[Pattern, Optional[BellLabel]]
 ) -> dict[Optional[BellLabel], float]:
-    """Total probability routed to each outcome (None = failure)."""
+    """Total probability routed to each outcome (None = failure); a
+    pattern missing from ``table`` is a failure."""
     out: dict[Optional[BellLabel], float] = {label: 0.0 for label in BellLabel}
     out[None] = 0.0
     for pattern, prob in pattern_probs.items():
-        out[table.outcome(pattern)] += prob
-    return out
-
-
-def classify_click_distribution(
-    click_probs: Mapping[Pattern, float], table: DiscriminationTable
-) -> dict[Optional[BellLabel], float]:
-    """Raw-click classification of a folded click-signature distribution.
-
-    Only fully resolving signatures (total clicks equal to the expected
-    photon number) are accepted; everything else fails.  With fixed photon
-    totals such signatures are unambiguous, so each outcome's rate is the
-    underlying pattern rate scaled by its normalization factor.
-    """
-    out: dict[Optional[BellLabel], float] = {label: 0.0 for label in BellLabel}
-    out[None] = 0.0
-    for clicks, prob in click_probs.items():
-        out[table.outcome_from_clicks(clicks)] += prob
+        out[table.get(pattern)] += prob
     return out
 
 
 def heralded_mixture(
-    result: FusionResult, table: DiscriminationTable, outcome: BellLabel
+    result: FusionResult,
+    table: Mapping[Pattern, Optional[BellLabel]],
+    outcome: BellLabel,
 ) -> np.ndarray:
     """Analyzer-photon state heralded by an outcome: the sum of its
     patterns' unnormalized polarization density matrices, in sorted
@@ -151,7 +113,7 @@ def heralded_mixture(
     densities = [
         result.conditional_states[pattern]
         for pattern in sorted(result.conditional_states)
-        if table.outcome(pattern) is outcome
+        if table.get(pattern) is outcome
     ]
     if not densities:
         raise ValueError(f"no patterns herald {outcome}")
@@ -243,11 +205,11 @@ def resolve_probability(n: int, config: PPNRDConfig) -> float:
         return 0.0
     if n == 0:
         return 1.0
-    return config.efficiency**n * math.perm(k, n) / k**n
+    return config.efficiency**n * (math.perm(k, n) / k**n)
 
 
 def normalization_factors(
-    table: DiscriminationTable, config: PPNRDConfig
+    table: Mapping[Pattern, Optional[BellLabel]], config: PPNRDConfig
 ) -> dict[Pattern, float]:
     """Per-pattern probability of a fully resolving click signature.
 
@@ -257,7 +219,7 @@ def normalization_factors(
     """
     return {
         pattern: math.prod(resolve_probability(n, config) for n in pattern)
-        for pattern in sorted(table.assignments)
+        for pattern in sorted(table)
     }
 
 

@@ -37,11 +37,11 @@ from .fock import (
     H,
     V,
     BeamSplitter,
+    ElementaryOp,
     FockState,
     Group,
     HalfWavePlate,
     Mode,
-    Network,
     PhaseShift,
     PolarizingBeamSplitter,
     apply_network,
@@ -97,8 +97,6 @@ class ExperimentConfig:
     transmission       per-photon end-to-end efficiency (rate model only)
     ancilla_enabled    include the two N00N rails and their splitters
     phase              relative H/V phase on the port-2 arm, radians
-    seed               recorded for provenance; the evolution is exact and
-                       consumes no randomness
     per_photon_overlap optional per-photon weights v_i on the common wave
                        packet; the overlap of photons i and j is then
                        sqrt(v_i * v_j), and ``overlap`` is ignored
@@ -108,7 +106,6 @@ class ExperimentConfig:
     transmission: float = 1.0
     ancilla_enabled: bool = True
     phase: float = 0.0
-    seed: int = 0
     per_photon_overlap: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -222,13 +219,7 @@ def prepare_bell_pair(
     )
     mixed = apply_network(
         photons,
-        Network(
-            ops=(
-                PolarizingBeamSplitter(port_keep, port_fuse),
-                HalfWavePlate(port_fuse, 0.0),
-            ),
-            ports=(port_keep, port_fuse),
-        ),
+        (PolarizingBeamSplitter(port_keep, port_fuse), HalfWavePlate(port_fuse, 0.0)),
     )
     return project_port_counts(mixed, {port_keep: 1, port_fuse: 1})
 
@@ -251,13 +242,10 @@ def prepare_noon_pair(
     )
     return apply_network(
         photons,
-        Network(
-            ops=(
-                BeamSplitter(port_out, port_in),
-                HalfWavePlate(port_in, math.pi / 4),
-                PolarizingBeamSplitter(port_out, port_in),
-            ),
-            ports=(port_out, port_in),
+        (
+            BeamSplitter(port_out, port_in),
+            HalfWavePlate(port_in, math.pi / 4),
+            PolarizingBeamSplitter(port_out, port_in),
         ),
     )
 
@@ -275,19 +263,16 @@ def _phase_gadget(port: int, phase: float) -> tuple:
     )
 
 
-def build_fusion_network(config: ExperimentConfig) -> Network:
-    """The static fusion interferometer for the given configuration."""
-    ops: list = []
-    ports = [PORT_FUSE_A, PORT_FUSE_B]
+def build_fusion_network(config: ExperimentConfig) -> tuple[ElementaryOp, ...]:
+    """The static fusion interferometer, as its elements in order."""
+    ops: list[ElementaryOp] = []
     if config.phase != 0.0:
         ops.extend(_phase_gadget(PORT_FUSE_A, config.phase))
-        ports.append(PORT_PHASE_AUX)
     ops.append(BeamSplitter(PORT_FUSE_A, PORT_FUSE_B))
     if config.ancilla_enabled:
         ops.append(BeamSplitter(PORT_FUSE_A, PORT_ANCILLA_A))
         ops.append(BeamSplitter(PORT_FUSE_B, PORT_ANCILLA_B))
-        ports.extend([PORT_ANCILLA_A, PORT_ANCILLA_B])
-    return Network(ops=tuple(ops), ports=tuple(ports))
+    return tuple(ops)
 
 
 def detection_groups(config: ExperimentConfig) -> tuple[Group, ...]:
@@ -537,9 +522,7 @@ def hom_dip(overlap: float) -> float:
             single_photon(0, {H: 1.0}, flavors[1]),
             single_photon(1, {H: 1.0}, flavors[2]),
         )
-        out = apply_network(
-            photons, Network(ops=(BeamSplitter(0, 1),), ports=(0, 1))
-        )
+        out = apply_network(photons, (BeamSplitter(0, 1),))
         dist = pattern_distribution(out, [(0, None), (1, None)])
         prob += weight * dist.get((1, 1), 0.0)
     return prob

@@ -22,7 +22,9 @@ experiment.pair_density builds) is read off the parts.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
-photon number.  The beam splitter uses the real symmetric convention
+photon number.  A network is a plain sequence of elements, which
+:func:`apply_network` applies in order.  The beam splitter uses the real
+symmetric convention
 
     a_in -> (a_out + b_out) / sqrt(2),   b_in -> (a_out - b_out) / sqrt(2)
 
@@ -399,23 +401,9 @@ def apply_op(state: FockState, op: ElementaryOp) -> FockState:
     return FockState._of(modes, new, amps[keep])
 
 
-@dataclass(frozen=True)
-class Network:
-    """Ordered sequence of elements over a declared set of ports."""
-
-    ops: tuple[ElementaryOp, ...]
-    ports: tuple[int, ...]
-
-    def __post_init__(self):
-        declared = set(self.ports)
-        for op in self.ops:
-            missing = set(op_ports(op)) - declared
-            if missing:
-                raise ValueError(f"element {op!r} references undeclared ports {missing}")
-
-
-def apply_network(state: FockState, network: Network) -> FockState:
-    for op in network.ops:
+def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:
+    """Evolve ``state`` through the elements ``ops`` in order."""
+    for op in ops:
         state = apply_op(state, op)
     return state
 

@@ -4,8 +4,9 @@ One sweep draws a random order of the elements (bonds, or sites and
 bonds) and adds them one per step; the microcanonical records (largest
 cluster S_m, and whether a cluster spans first to last row, after m
 additions) are then converted to any fixed occupation probability p by a
-binomial convolution (Newman and Ziff).  This gives the whole curve of
-both observables from a single pass per trial, which is what makes
+binomial convolution (Newman and Ziff).  ``sweep_curves`` thus gives the
+whole curve of both observables from a single pass per trial (and
+``size_sweeps`` does so per lattice size), which is what makes
 1000 x 1000 lattices practical.  Each trial is convolved onto the grid as
 soon as it finishes, so memory is O(trials x grid), and the pass stops at
 the last step that any grid point's binomial window reads.
@@ -103,13 +104,10 @@ class PercModel:
     """Occupation model: bond-only, or sites and bonds at one probability."""
 
     mode: str = "site-bond"
-    p: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError("occupation probability must lie in [0, 1]")
 
 
 def n_elements(lattice: Lattice, model: PercModel) -> int:
@@ -386,21 +384,6 @@ def sweep_curves(
     return curves
 
 
-def sweep_curve(
-    lattice: Lattice,
-    model: PercModel,
-    p_grid: Sequence[float],
-    trials: int,
-    seed: int,
-    observable: str = "fraction",
-    workers: int = 1,
-) -> SweepCurve:
-    """The ``observable`` curve of :func:`sweep_curves`."""
-    if observable not in OBSERVABLES:
-        raise ValueError(f"observable must be one of {OBSERVABLES}")
-    return sweep_curves(lattice, model, p_grid, trials, seed, workers)[observable]
-
-
 def _component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Smallest site index of each site's connected component.
 
@@ -553,21 +536,3 @@ def size_sweeps(
         )
         for length in sizes
     }
-
-
-def largest_cluster_curves(
-    sizes: Sequence[int],
-    trials: int,
-    p_grid: Sequence[float],
-    seed: int,
-    mode: str = "site-bond",
-    boundary: str = "open",
-    observable: str = "fraction",
-    workers: int = 1,
-) -> dict[int, SweepCurve]:
-    """The ``observable`` curve of :func:`size_sweeps` for each size;
-    larger sizes turn on harder."""
-    if observable not in OBSERVABLES:
-        raise ValueError(f"observable must be one of {OBSERVABLES}")
-    sweeps = size_sweeps(sizes, trials, p_grid, seed, mode, boundary, workers)
-    return {length: curves[observable] for length, curves in sweeps.items()}

@@ -147,14 +147,14 @@ def test_criterion_4_discrimination_table_enumeration():
     for pattern in _all_patterns(8, 8):
         hits = [label for label, sup in supports.items() if pattern in sup]
         expected = hits[0] if len(hits) == 1 else None
-        ok &= table.outcome(pattern) is expected
+        ok &= table.get(pattern) is expected
         checked += 1
-        if 4 in pattern and table.outcome(pattern) is not None:
+        if 4 in pattern and table.get(pattern) is not None:
             ok = False
         if (pattern[:4] == (1, 1, 1, 1) or pattern[4:] == (1, 1, 1, 1)) and (
-            pattern in table.assignments
+            pattern in table
         ):
-            ok &= table.outcome(pattern) is BellLabel.PHI_PLUS
+            ok &= table.get(pattern) is BellLabel.PHI_PLUS
     elapsed = time.perf_counter() - start
     ok &= checked == 12870
     ok &= elapsed < 10.0
@@ -228,14 +228,13 @@ def test_criterion_8_bond_threshold_control():
     start = time.perf_counter()
     grid = np.round(np.arange(0.40, 0.6001, 0.002), 6)
     curves = [
-        percolation.sweep_curve(
+        percolation.sweep_curves(
             percolation.build_square_lattice(side, "open"),
             percolation.PercModel(mode="bond"),
             grid,
             trials=200,
             seed=101 + side,
-            observable="spanning",
-        )
+        )["spanning"]
         for side in (64, 128)
     ]
     estimate = percolation.estimate_threshold(curves).estimate
@@ -253,14 +252,13 @@ def test_criterion_8_site_bond_threshold_as_contracted():
     start = time.perf_counter()
     grid = np.round(np.arange(0.60, 0.8001, 0.002), 6)
     curves = [
-        percolation.sweep_curve(
+        percolation.sweep_curves(
             percolation.build_square_lattice(side, "open"),
             percolation.PercModel(mode="site-bond"),
             grid,
             trials=200,
             seed=201 + side,
-            observable="spanning",
-        )
+        )["spanning"]
         for side in (50, 100)
     ]
     estimate = percolation.estimate_threshold(curves).estimate
@@ -283,9 +281,8 @@ def test_criterion_8_site_bond_threshold_as_contracted():
 
 def test_criterion_9_curve_shapes_and_large_lattice():
     grid = np.round(np.arange(0.60, 0.8001, 0.002), 6)
-    curves = percolation.largest_cluster_curves(
-        (10, 100), trials=200, p_grid=grid, seed=31
-    )
+    sweeps = percolation.size_sweeps((10, 100), trials=200, p_grid=grid, seed=31)
+    curves = {L: both["fraction"] for L, both in sweeps.items()}
     ok = True
     for curve in curves.values():
         noise = 3.0 * (np.max(curve.stderr) + 1e-9)
@@ -296,9 +293,9 @@ def test_criterion_9_curve_shapes_and_large_lattice():
     ok &= curves[100].value_at(0.71) > curves[100].value_at(0.672)
 
     big_grid = np.round(np.arange(0.58, 0.7801, 0.005), 6)
-    big = percolation.largest_cluster_curves(
+    big = percolation.size_sweeps(
         (1000,), trials=2, p_grid=big_grid, seed=47
-    )[1000]
+    )[1000]["fraction"]
     slope_1000 = np.max(np.diff(big.mean) / np.diff(big_grid))
     shared = (grid >= 0.58) & (grid <= 0.78)
     slope_100_shared = np.max(np.diff(curves[100].mean) / np.diff(grid))
@@ -323,7 +320,8 @@ def test_criterion_10_sweep_matches_direct_sampling():
             lattice = percolation.build_square_lattice(side, "open")
             model = percolation.PercModel(mode=mode)
             grid = [0.3, 0.5, 0.7]
-            curve = percolation.sweep_curve(lattice, model, grid, trials=300, seed=61)
+            curves = percolation.sweep_curves(lattice, model, grid, trials=300, seed=61)
+            curve = curves["fraction"]
             for j, p in enumerate(grid):
                 mc_mean, mc_err = percolation.direct_monte_carlo(
                     lattice, model, p, trials=300, seed=62

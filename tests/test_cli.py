@@ -112,12 +112,15 @@ class TestFusionCommand:
         ("fusion", ["fusion"]),
         ("fusion-no-ancilla", ["fusion", "--no-ancilla"]),
         ("phase-sweep", ["sweep", "--kind", "phase", "--grid", "0:6.9:24"]),
+        ("fusion-v95", ["fusion", "--visibility", "0.95"]),
     ],
 )
 def test_artifacts_match_recorded_bytes(tmp_path, name, argv):
     """Artifacts of the exact fusion engine, pinned byte for byte against
     the copies in tests/data: a change in the engine's term order or
-    rounding that reaches an artifact shows here first."""
+    rounding that reaches an artifact shows here first.  The V=1 artifacts
+    round the same under most reorderings of a sum; the V=0.95 run, which
+    sums over 256 wave-packet branches, does not."""
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
     recorded = sorted((DATA / name).iterdir())
@@ -287,6 +290,12 @@ class TestSmallCommands:
         assert payload["resolve_probability"] == 0.09375
         assert abs(sum(payload["click_distribution"]) - 1.0) < 1e-12
 
+    def test_ppnrd_past_float_range(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["ppnrd", "--n", "200", "--k", "1000", "--out", str(out)]) == 0
+        payload = json.loads((out / "ppnrd.json").read_text())
+        assert 0.0 < payload["resolve_probability"] < 1e-9
+
     def test_rate(self, tmp_path):
         out = tmp_path / "run"
         args = ["rate", "--attempts", "7.1e6", "--eta", "0.16", "--fold", "8"]
@@ -356,6 +365,14 @@ QUICK_RUNS = {
     "ppnrd": ["ppnrd", "--n", "2"],
     "rate": ["rate"],
 }
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2(tmp_path, command, threads):
+    out = tmp_path / "run"
+    assert main([*QUICK_RUNS[command], "--threads", threads, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", sorted(QUICK_RUNS))

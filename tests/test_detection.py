@@ -6,10 +6,8 @@ import math
 import pytest
 
 from fusionsim.detection import (
-    DiscriminationTable,
     OutcomeStats,
     PPNRDConfig,
-    classify_click_distribution,
     classify_distribution,
     compose_efficiency,
     derive_discrimination_table,
@@ -99,6 +97,15 @@ class TestPPNRD:
         assert max(dist[:3]) < 1e-300
         assert abs(dist[3] / (4 * (1 - eta / 4) ** n) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("eta", [1.0, 0.9])
+    def test_resolve_probability_past_float_range(self, eta):
+        """perm(1000, 200) exceeds every float, yet the probability that
+        200 photons land on distinct cells of 1000 is about 5e-10."""
+        n, k = 200, 1000
+        expected = eta**n * math.prod((k - i) / k for i in range(n))
+        got = resolve_probability(n, PPNRDConfig(k, eta))
+        assert abs(got / expected - 1.0) < 1e-12
+
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
             ppnrd_response(-1, PPNRDConfig())
@@ -178,42 +185,47 @@ class TestDiscriminationTable:
                     if other is not label and odist.get(pattern, 0.0) > 1e-12
                 ]
                 expected = None if others else label
-                assert self.table.outcome(pattern) is expected
+                assert self.table.get(pattern) is expected
 
     def test_one_photon_per_group_on_one_side_heralds_phi_plus(self):
-        for pattern in self.table.assignments:
+        for pattern in self.table:
             for side in (pattern[:4], pattern[4:]):
                 if side == (1, 1, 1, 1):
-                    assert self.table.outcome(pattern) is BellLabel.PHI_PLUS
+                    assert self.table.get(pattern) is BellLabel.PHI_PLUS
 
     def test_four_bunched_photons_fail(self):
-        for pattern in self.table.assignments:
+        for pattern in self.table:
             if 4 in pattern:
-                assert self.table.outcome(pattern) is None
+                assert self.table.get(pattern) is None
 
     def test_three_three_split_heralds_singlet(self):
-        for pattern in self.table.assignments:
+        for pattern in self.table:
             if sum(pattern[:4]) == 3 and sum(pattern[4:]) == 3:
-                assert self.table.outcome(pattern) is BellLabel.PSI_MINUS
+                assert self.table.get(pattern) is BellLabel.PSI_MINUS
 
     def test_antibunched_opposite_polarizations_unboosted(self):
         table = ideal_table(ExperimentConfig(ancilla_enabled=False))
-        assert table.outcome((1, 0, 0, 1)) is BellLabel.PSI_MINUS
-        assert table.outcome((0, 1, 1, 0)) is BellLabel.PSI_MINUS
-        assert table.outcome((1, 1, 0, 0)) is BellLabel.PSI_PLUS
-        assert table.outcome((2, 0, 0, 0)) is None
+        assert table.get((1, 0, 0, 1)) is BellLabel.PSI_MINUS
+        assert table.get((0, 1, 1, 0)) is BellLabel.PSI_MINUS
+        assert table.get((1, 1, 0, 0)) is BellLabel.PSI_PLUS
+        assert table.get((2, 0, 0, 0)) is None
 
     def test_unseen_pattern_fails(self):
-        assert self.table.outcome((8, 0, 0, 0, 0, 0, 0, 0)) is None
+        assert self.table.get((8, 0, 0, 0, 0, 0, 0, 0)) is None
+        assert self.table.get((1,) + (0,) * 7) is None
 
     def test_raw_click_mode(self):
-        pattern = next(
-            p for p, lab in self.table.assignments.items()
-            if lab is BellLabel.PSI_MINUS
+        """A click signature short of the photon total (a photon lost or
+        two photons in one cell) is never a table key, so its probability
+        is routed to failure while a fully resolved one keeps its label."""
+        resolved = next(
+            p for p, lab in self.table.items() if lab is BellLabel.PSI_MINUS
         )
-        assert self.table.outcome_from_clicks(pattern) is BellLabel.PSI_MINUS
-        short = (1,) + (0,) * 7
-        assert self.table.outcome_from_clicks(short) is None
+        i = next(i for i, n in enumerate(resolved) if n)
+        short = resolved[:i] + (resolved[i] - 1,) + resolved[i + 1:]
+        routed = classify_distribution({resolved: 0.25, short: 0.5}, self.table)
+        assert routed[BellLabel.PSI_MINUS] == 0.25
+        assert routed[None] == 0.5
 
     def test_raw_click_outcome_rates_scale_by_factors(self):
         """Folding through lossy detectors and classifying only the fully
@@ -222,12 +234,12 @@ class TestDiscriminationTable:
         ppnrd = PPNRDConfig(4, 0.72)
         result = run_fusion(BellLabel.PHI_MINUS, ExperimentConfig())
         clicks = fold_clicks(result.pattern_probs, ppnrd)
-        routed = classify_click_distribution(clicks, self.table)
+        routed = classify_distribution(clicks, self.table)
         for outcome in BellLabel:
             expected = sum(
                 prob * math.prod(resolve_probability(n, ppnrd) for n in pattern)
                 for pattern, prob in result.pattern_probs.items()
-                if self.table.outcome(pattern) is outcome
+                if self.table.get(pattern) is outcome
             )
             assert abs(routed[outcome] - expected) < 1e-9
 
@@ -308,9 +320,7 @@ class TestHeraldedStates:
                 second: 0.3 * pair_density(product, PORT_KEEP_A, PORT_KEEP_B),
             },
         )
-        table = DiscriminationTable(
-            {first: BellLabel.PSI_MINUS, second: BellLabel.PSI_MINUS}, 2
-        )
+        table = {first: BellLabel.PSI_MINUS, second: BellLabel.PSI_MINUS}
         mixture = heralded_mixture(result, table, BellLabel.PSI_MINUS)
         fidelity = singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B)
         assert abs(fidelity - 0.25) < 1e-12

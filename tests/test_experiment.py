@@ -330,17 +330,17 @@ class TestHOM:
 class TestFusionNetwork:
     def test_unboosted_network_is_one_splitter(self):
         net = build_fusion_network(ExperimentConfig(ancilla_enabled=False))
-        assert len(net.ops) == 1
-        assert isinstance(net.ops[0], BeamSplitter)
+        assert len(net) == 1
+        assert isinstance(net[0], BeamSplitter)
 
     def test_boosted_network_has_three_splitters(self):
         net = build_fusion_network(ExperimentConfig())
-        splitters = [op for op in net.ops if isinstance(op, BeamSplitter)]
+        splitters = [op for op in net if isinstance(op, BeamSplitter)]
         assert len(splitters) == 3
 
     def test_phase_gadget_included_when_phased(self):
         net = build_fusion_network(ExperimentConfig(phase=0.7, ancilla_enabled=False))
-        assert len(net.ops) == 4  # fold out, shift, fold back, splitter
+        assert len(net) == 4  # fold out, shift, fold back, splitter
 
     def test_network_preserves_norm_on_random_inputs(self):
         rng = np.random.default_rng(9)

@@ -14,7 +14,6 @@ from fusionsim.fock import (
     FockState,
     HalfWavePlate,
     Mode,
-    Network,
     PhaseShift,
     PolarizingBeamSplitter,
     apply_network,
@@ -134,28 +133,18 @@ class TestElements:
 class TestNetwork:
     def test_empty_network_is_identity(self):
         state = create_photons([(Mode(0, H), 2)])
-        assert apply_network(state, Network(ops=(), ports=(0,))) == state
+        assert apply_network(state, ()) == state
 
     def test_phases_compose(self):
         state = create_photons([(Mode(0, H), 2)])
-        two = apply_network(
-            state,
-            Network(ops=(PhaseShift(0, 0.4), PhaseShift(0, 1.1)), ports=(0,)),
-        )
+        two = apply_network(state, (PhaseShift(0, 0.4), PhaseShift(0, 1.1)))
         one = apply_op(state, PhaseShift(0, 1.5))
         for occ, amp in one.items():
             assert abs(two.amplitude(occ) - amp) < 1e-12
 
-    def test_undeclared_port_rejected(self):
-        with pytest.raises(ValueError, match="undeclared"):
-            Network(ops=(BeamSplitter(0, 1),), ports=(0,))
-
     def test_eight_photons_conserved_through_layered_splitters(self):
         rng = np.random.default_rng(11)
-        network = Network(
-            ops=(BeamSplitter(0, 1), BeamSplitter(0, 2), BeamSplitter(1, 2)),
-            ports=(0, 1, 2),
-        )
+        network = (BeamSplitter(0, 1), BeamSplitter(0, 2), BeamSplitter(1, 2))
         for _ in range(5):
             state = random_state(rng, total=8)
             out = apply_network(state, network)
@@ -317,9 +306,7 @@ class TestInvariants:
 
     def test_flavor_superselection_product_marginals(self):
         """Distinguishable photons give a product of single-photon marginals."""
-        network = Network(
-            ops=(BeamSplitter(0, 1), BeamSplitter(1, 2)), ports=(0, 1, 2)
-        )
+        network = (BeamSplitter(0, 1), BeamSplitter(1, 2))
         groups = [(0, None), (1, None), (2, None)]
         joint_in = compose(
             create_photons([(Mode(0, H, 1), 1)]),
@@ -461,7 +448,7 @@ class TestPermanentOracle:
             counts = {m: photons.count(m) for m in set(photons)}
             out = apply_network(
                 create_photons([(Mode(*m), n) for m, n in counts.items()]),
-                Network(ops=tuple(self.as_op(e) for e in elements), ports=self.PORTS),
+                tuple(self.as_op(e) for e in elements),
             )
             cols = [index[m] for m in sorted(photons)]
             in_norm = math.prod(math.factorial(n) for n in counts.values())

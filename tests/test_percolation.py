@@ -18,11 +18,10 @@ from fusionsim.percolation import (
     build_square_lattice,
     direct_monte_carlo,
     estimate_threshold,
-    largest_cluster_curves,
     max_slope_location,
     n_elements,
     run_trial,
-    sweep_curve,
+    size_sweeps,
     sweep_curves,
     trial_rng,
 )
@@ -59,8 +58,6 @@ class TestLattice:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             PercModel(mode="tube")
-        with pytest.raises(ValueError):
-            PercModel(p=1.5)
 
 
 def bfs_clusters(active_sites, live_bonds):
@@ -191,28 +188,23 @@ class TestConvolution:
     def test_endpoint_values(self):
         lat = build_square_lattice(8, "open")
         model = PercModel(mode="site-bond")
-        curve = sweep_curve(lat, model, [0.0, 1.0], trials=4, seed=2)
+        curve = sweep_curves(lat, model, [0.0, 1.0], trials=4, seed=2)["fraction"]
         assert abs(curve.mean[0]) < 1e-12
         assert abs(curve.mean[1] - 1.0) < 1e-12
 
     def test_bond_mode_at_zero_keeps_isolated_site(self):
         lat = build_square_lattice(8, "open")
         model = PercModel(mode="bond")
-        curve = sweep_curve(lat, model, [0.0], trials=2, seed=2)
+        curve = sweep_curves(lat, model, [0.0], trials=2, seed=2)["fraction"]
         assert abs(curve.mean[0] - 1 / lat.n_sites) < 1e-12
 
     def test_value_at(self):
         lat = build_square_lattice(8, "open")
         model = PercModel(mode="bond")
-        curve = sweep_curve(lat, model, [0.25, 0.5], trials=2, seed=2)
+        curve = sweep_curves(lat, model, [0.25, 0.5], trials=2, seed=2)["fraction"]
         assert curve.value_at(0.5) == curve.mean[1]
         with pytest.raises(ValueError):
             curve.value_at(0.333)
-
-    def test_bad_observable(self):
-        lat = build_square_lattice(4, "open")
-        with pytest.raises(ValueError):
-            sweep_curve(lat, PercModel(), [0.5], trials=1, seed=0, observable="mass")
 
     def test_one_sweep_yields_both_observables(self):
         lat = build_square_lattice(9, "open")
@@ -221,10 +213,8 @@ class TestConvolution:
         both = sweep_curves(lat, model, grid, trials=5, seed=3)
         assert set(both) == {"fraction", "spanning"}
         for observable, curve in both.items():
-            alone = sweep_curve(lat, model, grid, 5, 3, observable=observable)
             assert curve.observable == observable
-            assert np.array_equal(curve.mean, alone.mean)
-            assert np.array_equal(curve.stderr, alone.stderr)
+            assert np.array_equal(curve.p_grid, grid)
 
     def test_memory_does_not_grow_with_trials(self):
         """Trials are convolved as they finish: a sweep holds no record
@@ -254,7 +244,7 @@ class TestAgreementWithDirectSampling:
         lat = build_square_lattice(side, "open")
         model = PercModel(mode=mode)
         grid = [0.3, 0.5, 0.7]
-        curve = sweep_curve(lat, model, grid, trials=300, seed=21)
+        curve = sweep_curves(lat, model, grid, trials=300, seed=21)["fraction"]
         for j, p in enumerate(grid):
             mc_mean, mc_err = direct_monte_carlo(lat, model, p, trials=300, seed=77)
             sigma = math.sqrt(curve.stderr[j] ** 2 + mc_err**2)
@@ -266,8 +256,8 @@ class TestDeterminism:
         lat = build_square_lattice(12, "open")
         model = PercModel(mode="site-bond")
         grid = np.linspace(0.4, 0.9, 11)
-        one = sweep_curve(lat, model, grid, trials=8, seed=5)
-        two = sweep_curve(lat, model, grid, trials=8, seed=5)
+        one = sweep_curves(lat, model, grid, trials=8, seed=5)["fraction"]
+        two = sweep_curves(lat, model, grid, trials=8, seed=5)["fraction"]
         assert np.array_equal(one.mean, two.mean)
         assert np.array_equal(one.stderr, two.stderr)
 
@@ -275,8 +265,8 @@ class TestDeterminism:
         lat = build_square_lattice(12, "open")
         model = PercModel(mode="site-bond")
         grid = np.linspace(0.4, 0.9, 11)
-        serial = sweep_curve(lat, model, grid, trials=8, seed=5, workers=1)
-        parallel = sweep_curve(lat, model, grid, trials=8, seed=5, workers=3)
+        serial = sweep_curves(lat, model, grid, trials=8, seed=5, workers=1)["fraction"]
+        parallel = sweep_curves(lat, model, grid, trials=8, seed=5, workers=3)["fraction"]
         assert np.array_equal(serial.mean, parallel.mean)
         assert np.array_equal(serial.stderr, parallel.stderr)
 
@@ -301,23 +291,23 @@ class TestDeterminism:
         lat = build_square_lattice(6, "open")
         model = PercModel(mode="site-bond")
         for workers, trials, pool_size in ((64, 5, 3), (64, 2, 2), (2, 5, 2)):
-            serial = sweep_curve(lat, model, [0.7], trials=trials, seed=4)
-            clamped = sweep_curve(
+            serial = sweep_curves(lat, model, [0.7], trials=trials, seed=4)["fraction"]
+            clamped = sweep_curves(
                 lat, model, [0.7], trials=trials, seed=4, workers=workers
-            )
+            )["fraction"]
             assert pool_sizes.pop() == pool_size
             assert np.array_equal(serial.mean, clamped.mean)
             assert np.array_equal(serial.stderr, clamped.stderr)
         monkeypatch.setattr(percolation.os, "cpu_count", lambda: 1)
-        sweep_curve(lat, model, [0.7], trials=5, seed=4, workers=64)
+        sweep_curves(lat, model, [0.7], trials=5, seed=4, workers=64)
         assert pool_sizes == []  # one CPU runs the trials in process
 
     def test_distinct_seeds_differ(self):
         lat = build_square_lattice(12, "open")
         model = PercModel(mode="bond")
         grid = [0.5]
-        a = sweep_curve(lat, model, grid, trials=4, seed=1)
-        b = sweep_curve(lat, model, grid, trials=4, seed=2)
+        a = sweep_curves(lat, model, grid, trials=4, seed=1)["fraction"]
+        b = sweep_curves(lat, model, grid, trials=4, seed=2)["fraction"]
         assert a.mean[0] != b.mean[0]
 
     def test_trial_rng_streams_are_stable(self):
@@ -374,14 +364,13 @@ class TestThresholdEstimation:
     def test_bond_control_quick(self):
         grid = np.round(np.arange(0.40, 0.601, 0.005), 6)
         curves = [
-            sweep_curve(
+            sweep_curves(
                 build_square_lattice(side, "open"),
                 PercModel(mode="bond"),
                 grid,
                 trials=80,
                 seed=13 + side,
-                observable="spanning",
-            )
+            )["spanning"]
             for side in (32, 64)
         ]
         est = estimate_threshold(curves)
@@ -392,14 +381,13 @@ class TestThresholdEstimation:
         location near 0.7404 (spanning-probability crossing)."""
         grid = np.round(np.arange(0.65, 0.831, 0.005), 6)
         curves = [
-            sweep_curve(
+            sweep_curves(
                 build_square_lattice(side, "open"),
                 PercModel(mode="site-bond"),
                 grid,
                 trials=80,
                 seed=29 + side,
-                observable="spanning",
-            )
+            )["spanning"]
             for side in (32, 64)
         ]
         est = estimate_threshold(curves)
@@ -409,8 +397,8 @@ class TestThresholdEstimation:
 class TestCurveFamilies:
     def test_larger_lattices_sharpen_the_transition(self):
         grid = np.round(np.arange(0.60, 0.881, 0.01), 6)
-        curves = largest_cluster_curves((10, 40), 60, grid, seed=3)
-        small, large = curves[10], curves[40]
+        sweeps = size_sweeps((10, 40), 60, grid, seed=3)
+        small, large = sweeps[10]["fraction"], sweeps[40]["fraction"]
         tol = 3.0 * (small.stderr.max() + 1e-9)
         diffs = np.diff(small.mean)
         assert (diffs > -tol).all()
@@ -420,15 +408,11 @@ class TestCurveFamilies:
 
     def test_per_size_seeds_differ(self):
         grid = [0.7]
-        curves = largest_cluster_curves((8, 16), 4, grid, seed=3)
-        assert curves[8].seed != curves[16].seed
+        sweeps = size_sweeps((8, 16), 4, grid, seed=3)
+        assert sweeps[8]["fraction"].seed != sweeps[16]["fraction"].seed
 
     def test_curve_values_stay_in_unit_interval(self):
         grid = np.linspace(0.0, 1.0, 21)
-        for observable in ("fraction", "spanning"):
-            curves = largest_cluster_curves(
-                (8,), 10, grid, seed=6, observable=observable
-            )
-            curve = curves[8]
+        for curve in size_sweeps((8,), 10, grid, seed=6)[8].values():
             assert curve.mean.min() >= 0.0
             assert curve.mean.max() <= 1.0 + 1e-12
