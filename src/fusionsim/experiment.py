@@ -199,6 +199,13 @@ def bell_state(
     )
 
 
+def _read_only(state: FockState) -> FockState:
+    """``state`` with its arrays locked, so a memoized result stays as made."""
+    state.occ.flags.writeable = state.amps.flags.writeable = False
+    return state
+
+
+@lru_cache(maxsize=64)
 def prepare_bell_pair(
     port_keep: int, port_fuse: int, flavors: tuple[int, int] = (0, 0)
 ) -> tuple[FockState, float]:
@@ -221,9 +228,11 @@ def prepare_bell_pair(
         photons,
         (PolarizingBeamSplitter(port_keep, port_fuse), HalfWavePlate(port_fuse, 0.0)),
     )
-    return project_port_counts(mixed, {port_keep: 1, port_fuse: 1})
+    state, prob = project_port_counts(mixed, {port_keep: 1, port_fuse: 1})
+    return _read_only(state), prob
 
 
+@lru_cache(maxsize=64)
 def prepare_noon_pair(
     port_out: int, port_in: int, flavors: tuple[int, int] = (0, 0)
 ) -> FockState:
@@ -240,14 +249,12 @@ def prepare_noon_pair(
         single_photon(port_out, {H: 1.0}, flavors[0]),
         single_photon(port_in, {H: 1.0}, flavors[1]),
     )
-    return apply_network(
-        photons,
-        (
-            BeamSplitter(port_out, port_in),
-            HalfWavePlate(port_in, math.pi / 4),
-            PolarizingBeamSplitter(port_out, port_in),
-        ),
+    network = (
+        BeamSplitter(port_out, port_in),
+        HalfWavePlate(port_in, math.pi / 4),
+        PolarizingBeamSplitter(port_out, port_in),
     )
+    return _read_only(apply_network(photons, network))
 
 
 def _phase_gadget(port: int, phase: float) -> tuple:
@@ -401,11 +408,13 @@ def run_fusion(
     conditionals: dict[tuple[int, ...], np.ndarray] = {}
     for weight, state in prepared:
         weight /= total
-        for pattern, part in partition(apply_network(state, network), groups).items():
-            probs[pattern] = probs.get(pattern, 0.0) + weight * part.norm_squared()
-            if track_conditionals and (
-                conditional_filter is None or conditional_filter(pattern)
-            ):
+        out = apply_network(state, network)
+        for pattern, prob in pattern_distribution(out, groups).items():
+            probs[pattern] = probs.get(pattern, 0.0) + weight * prob
+        if not track_conditionals:
+            continue
+        for pattern, part in partition(out, groups).items():
+            if conditional_filter is None or conditional_filter(pattern):
                 rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
                 if pattern in conditionals:
                     rho += conditionals[pattern]

@@ -11,14 +11,17 @@ partially distinguishable photon (common with some probability, private
 otherwise) is simulated as a classical mixture of states in which each
 photon has one flavor (experiment.flavor_branches).
 
-Rows are grouped one way only, by :func:`_group`.  Evolution,
-:func:`compose` and :func:`superpose` sum equal rows in the order a
-term-by-term loop would, with complex products rounded as Python rounds
-them, so results are reproducible to the bit.  Detectors are flavor-blind:
-:func:`partition` splits a state by the photon counts its detection groups
-see, and every Fock-state measurement (pattern distributions, port-count
-projections, the heralded parts whose analyzer density matrices
-experiment.pair_density builds) is read off the parts.
+Rows are grouped one way only, by :func:`_group`, whose exact 64-bit row
+key telescopes to one table lookup per entry.  Evolution, :func:`compose`
+and :func:`superpose` sum equal rows in the order a term-by-term loop
+would, with complex products rounded as Python rounds them, so results are
+reproducible to the bit.  Detectors are flavor-blind: one helper counts the
+photons each detection group sees (a sum of occupation columns) and orders
+the rows by those counts.  :func:`partition` slices that order into
+states and :func:`pattern_distribution` into squared norms; every other
+Fock-state measurement (port-count projections, the heralded parts whose
+analyzer density matrices experiment.pair_density builds) is read off
+:func:`partition`'s parts.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -87,10 +90,8 @@ def occupation(counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]]) -> Occup
     return tuple(sorted(merged.items()))
 
 
-_ONES = [(256**k - 1) // 255 for k in range(MAX_PHOTONS + 1)]
-#: _SPAN[k, n]: a 64-bit word with bytes k - n .. k - 1 set to 1.
-_SPAN = np.array([[o - _ONES[max(k - n, 0)] for n in range(MAX_PHOTONS + 1)]
-                  for k, o in enumerate(_ONES)], dtype=np.uint64)
+#: _ONES[k]: a 64-bit word with bytes 0 .. k - 1 set to 1.
+_ONES = np.array([(256**k - 1) // 255 for k in range(MAX_PHOTONS + 1)], dtype=np.uint64)
 
 
 def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,10 +101,15 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (column + 1, a byte per photon): at most 8 photons in under 255
     columns fit 64 bits."""
     if rows.ndim == 2:
-        if rows.shape[1] >= 255:
-            raise ValueError(f"{rows.shape[1]} modes exceed the row key's 254")
-        upto = np.cumsum(rows, axis=1, dtype=np.uint8)
-        rows = _SPAN[upto, rows] @ np.arange(1, rows.shape[1] + 1, dtype=np.uint64)
+        width = rows.shape[1]
+        if width >= 255:
+            raise ValueError(f"{width} modes exceed the row key's 254")
+        # With u_c the photons in columns 0..c, column c sets bytes u_{c-1}
+        # .. u_c - 1 to c + 1, so the key is sum_c (c + 1) (ONES[u_c] -
+        # ONES[u_{c-1}]), which telescopes (mod 2^64) to the line below.
+        ones = _ONES[np.cumsum(rows, axis=1, dtype=np.uint8)]
+        last = ones[:, -1] if width else np.uint64(0)
+        rows = (width + 1) * last - ones.sum(axis=1, dtype=np.uint64)
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     order = np.argsort(first)
     return np.argsort(order)[inverse], first[order]  # argsort inverts a permutation
@@ -411,11 +417,13 @@ def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:
 # --------------------------------------------------------------------------
 # Measurement-side helpers
 #
-# partition is the one place that counts photons per detection group, as the
-# occupation matrix times a group-membership matrix; the pattern distribution,
-# the port-count projection and experiment.run_fusion's heralded parts are
-# read off its parts.  post_select masks rows on exact mode counts on its own,
-# so tests can check the heralded density matrices against it.
+# _parts is the one place that counts photons per detection group, summing
+# each group's occupation columns, and orders rows stably by those counts.
+# partition slices states out of that order and pattern_distribution squared
+# norms out of the same slices; the port-count projection and
+# experiment.run_fusion's heralded parts are read off partition's states.
+# post_select masks rows on exact mode counts on its own, so tests can check
+# the heralded density matrices against it.
 # --------------------------------------------------------------------------
 
 
@@ -444,6 +452,28 @@ Group = tuple[int, Union[str, None]]
 Pattern = tuple[int, ...]
 
 
+def _parts(
+    state: FockState, groups: Sequence[Group]
+) -> tuple[np.ndarray, dict[Pattern, slice]]:
+    """The stable row order that makes each :func:`partition` part a
+    contiguous run, and each part's key mapped to its run, in order of the
+    parts' first rows."""
+    slots = [((port, p), j) for j, (port, pol) in enumerate(groups)
+             for p in ((pol,) if pol else POLARIZATIONS)]
+    column = dict(slots)
+    if len(column) < len(slots):
+        raise ValueError(f"detection groups overlap: {list(groups)}")
+    # The groups are disjoint, so each mode's column adds to at most one count.
+    counts = np.zeros((len(groups), len(state)), dtype=np.uint8)
+    for c, m in enumerate(state.modes):
+        if (m.port, m.pol) in column:
+            counts[column[m.port, m.pol]] += state.occ[:, c]
+    part, first = _group(counts.T)
+    ends = np.cumsum(np.bincount(part)).tolist()
+    keys = map(tuple, counts.T[first].tolist())
+    return np.argsort(part, kind="stable"), dict(zip(keys, map(slice, [0] + ends, ends)))
+
+
 def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockState]:
     """Split a state by its flavor-blind photon counts over detection groups.
 
@@ -452,31 +482,24 @@ def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockSt
     row lands, unchanged and in order, in the part keyed by its counts
     (parts in order of their first rows), so the parts are orthogonal.
     """
-    slots = [(port, p) for port, pol in groups for p in ((pol,) if pol else POLARIZATIONS)]
-    if len(set(slots)) < len(slots):
-        raise ValueError(f"detection groups overlap: {list(groups)}")
-    member = np.array([[m.port == port and pol in (None, m.pol) for port, pol in groups]
-                       for m in state.modes], dtype=np.uint8).reshape(-1, len(groups))
-    counts = state.occ @ member
-    part, first = _group(counts)
-    # One stable gather makes every part a contiguous run of rows.
-    order = np.argsort(part, kind="stable")
+    order, parts = _parts(state, groups)
     occ, amps = state.occ[order], state.amps[order]
-    ends = np.cumsum(np.bincount(part)).tolist()
-    return {
-        tuple(key): FockState._of(state.modes, occ[start:end], amps[start:end])
-        for key, start, end in zip(counts[first].tolist(), [0] + ends, ends)
-    }
+    return {key: FockState._of(state.modes, occ[run], amps[run])
+            for key, run in parts.items()}
 
 
 def pattern_distribution(
     state: FockState, groups: Sequence[Group]
 ) -> dict[Pattern, float]:
     """Flavor-blind photon-number distribution over detection groups: the
-    squared norm of each :func:`partition` part.  Modes outside every
-    group are marginalized; for a normalized state the probabilities sum
-    to 1."""
-    return {key: part.norm_squared() for key, part in partition(state, groups).items()}
+    squared norm of each :func:`partition` part, in the same order, without
+    building the parts.  Modes outside every group are marginalized; for a
+    normalized state the probabilities sum to 1."""
+    order, parts = _parts(state, groups)
+    # Python's abs(a) ** 2: np.hypot is abs bit for bit, but a vectorized
+    # square rounds differently from Python's ** 2.
+    squares = [h ** 2 for h in np.hypot(state.amps.real, state.amps.imag)[order].tolist()]
+    return {key: math.fsum(squares[run]) for key, run in parts.items()}
 
 
 def project_port_counts(

@@ -228,6 +228,26 @@ class TestNoonPreparation:
         assert abs(dist.get((1, 1), 0.0) - 0.5) < 1e-12
 
 
+class TestMemoizedPreparations:
+    def test_cached_states_are_read_only(self):
+        bell, _ = prepare_bell_pair(PORT_KEEP_A, PORT_FUSE_A, (1, 2))
+        noon = prepare_noon_pair(PORT_ANCILLA_A, 6, (5, 0))
+        assert prepare_noon_pair(PORT_ANCILLA_A, 6, (5, 0)) is noon
+        for state in (bell, noon):
+            for array in (state.occ, state.amps):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_repeated_runs_are_bit_identical(self):
+        config = ExperimentConfig(overlap=0.95)
+        first, second = (
+            run_fusion(BellLabel.PSI_MINUS, config).pattern_probs for _ in range(2)
+        )
+        assert list(first) == list(second)
+        assert [p.hex() for p in first.values()] == [p.hex() for p in second.values()]
+
+
 def branch_hom_visibility(config: ExperimentConfig) -> float:
     """1 - 2 P_cc of photons 1 and 2 on a 50:50 splitter, summed over the
     flavor branches of ``config``."""

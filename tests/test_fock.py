@@ -27,6 +27,8 @@ from fusionsim.fock import (
     project_port_counts,
     superpose,
     vacuum,
+    _group,
+    _product,
 )
 
 SQ2 = math.sqrt(2)
@@ -236,6 +238,34 @@ class TestPatternDistribution:
         with pytest.raises(ValueError, match="overlap"):
             pattern_distribution(state, [(0, H), (0, None)])
 
+    @pytest.mark.parametrize(
+        "flavors, groups",
+        [
+            ((0,), [(port, pol) for port in range(4) for pol in (H, V)]),
+            ((0, 1), [(0, None), (1, H), (3, V)]),
+        ],
+    )
+    def test_equals_partition_norms_bit_for_bit(self, flavors, groups):
+        rng = np.random.default_rng(17)
+        modes = [Mode(port, pol, f) for port in range(4) for pol in (H, V) for f in flavors]
+        terms = {}
+        for _ in range(6000):
+            photons = rng.integers(len(modes), size=int(rng.integers(1, MAX_PHOTONS + 1)))
+            counts = {modes[i]: photons.tolist().count(i) for i in set(photons.tolist())}
+            terms[occupation(counts)] = complex(rng.normal(), rng.normal())
+        state = FockState(terms)
+        # Some amplitude's square rounds differently when vectorized, so a
+        # distribution built from h * h instead of Python's abs(a) ** 2 fails
+        # (with one flavor every row is its own part).
+        h = np.hypot(state.amps.real, state.amps.imag)
+        assert any(x * x != abs(a) ** 2 for x, a in zip(h.tolist(), state.amps.tolist()))
+        dist = pattern_distribution(state, groups)
+        parts = partition(state, groups)
+        assert list(dist) == list(parts)
+        assert [p.hex() for p in dist.values()] == [
+            part.norm_squared().hex() for part in parts.values()
+        ]
+
 
 class TestPartition:
     @staticmethod
@@ -272,6 +302,71 @@ class TestPartition:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="overlap"):
             partition(random_state(rng), [(1, V), (0, None), (1, None)])
+
+
+class TestGroup:
+    @staticmethod
+    def oracle(rows):
+        """First-appearance numbering of the rows as tuples."""
+        ids, first = {}, []
+        for i, row in enumerate(map(tuple, rows.tolist())):
+            if row not in ids:
+                ids[row] = len(ids)
+                first.append(i)
+        return [ids[row] for row in map(tuple, rows.tolist())], first
+
+    def assert_matches_oracle(self, rows):
+        group, first = _group(rows)
+        assert (group.tolist(), first.tolist()) == self.oracle(rows)
+
+    @staticmethod
+    def random_rows(rng, width, photons, n=300, pool=40):
+        """``n`` rows drawn from ``pool`` random rows of ``photons(rng)``
+        photons each, so equal rows recur."""
+        rows = np.zeros((pool, width), dtype=np.uint8)
+        for row in rows:
+            np.add.at(row, rng.integers(width, size=photons(rng)), 1)
+        return rows[rng.integers(pool, size=n)]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 40, 254])
+    def test_random_rows(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(10):
+            self.assert_matches_oracle(
+                self.random_rows(rng, width, lambda r: int(r.integers(MAX_PHOTONS + 1)))
+            )
+            self.assert_matches_oracle(self.random_rows(rng, width, lambda r: MAX_PHOTONS))
+
+    def test_every_small_row(self):
+        rows = np.array(
+            [row for row in itertools.product(range(MAX_PHOTONS + 1), repeat=3)
+             if sum(row) <= MAX_PHOTONS],
+            dtype=np.uint8,
+        )
+        rng = np.random.default_rng(9)
+        self.assert_matches_oracle(rows[rng.integers(len(rows), size=2000)])
+
+    def test_degenerate_shapes(self):
+        self.assert_matches_oracle(np.zeros((5, 0), dtype=np.uint8))
+        self.assert_matches_oracle(np.zeros((0, 6), dtype=np.uint8))
+        self.assert_matches_oracle(np.zeros((0, 0), dtype=np.uint8))
+
+    def test_integer_keys(self):
+        group, first = _group(np.array([5, 3, 5, 9, 3, 3]))
+        assert (group.tolist(), first.tolist()) == ([0, 1, 0, 2, 1, 1], [0, 1, 3])
+
+    def test_too_many_columns_rejected(self):
+        with pytest.raises(ValueError, match="254"):
+            _group(np.zeros((2, 255), dtype=np.uint8))
+
+
+def test_product_rounds_as_python():
+    rng = np.random.default_rng(5)
+    x, y = (rng.normal(size=20000) + 1j * rng.normal(size=20000) for _ in range(2))
+    re, im = _product(x, y)
+    python = [a * b for a, b in zip(x.tolist(), y.tolist())]
+    assert re.tobytes() == np.array([z.real for z in python]).tobytes()
+    assert im.tobytes() == np.array([z.imag for z in python]).tobytes()
 
 
 class TestInvariants:
