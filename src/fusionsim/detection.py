@@ -1,6 +1,6 @@
 """Click-pattern discrimination, pseudo-number-resolving detection, and
 the derived estimators (success probability, heralded-state fidelity,
-coincidence rates).
+n-fold coincidence rate).
 
 The discrimination table is a plain dict, derived from data: a
 photon-number pattern heralds a Bell state exactly when it appears in the
@@ -271,27 +271,3 @@ def nfold_rate(attempt_rate: float, efficiency: float, fold: int) -> float:
     if fold < 1:
         raise ValueError("fold order must be at least 1")
     return attempt_rate * efficiency**fold
-
-
-def compose_efficiency(source: float, transmission: float, detector: float) -> float:
-    """End-to-end per-photon efficiency from its three stages."""
-    for name, value in (
-        ("source", source),
-        ("transmission", transmission),
-        ("detector", detector),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} efficiency outside [0, 1]")
-    return source * transmission * detector
-
-
-def expected_coincidence_rate(
-    config: ExperimentConfig, attempt_rate: float, fold: int = 8
-) -> float:
-    """Coincidence rate implied by a configuration's per-photon efficiency.
-
-    Loss enters the simulation as a rate-only effect (patterns are
-    post-selected on the full photon number), so this is the whole loss
-    model: attempts/s times transmission to the fold power.
-    """
-    return nfold_rate(attempt_rate, config.transmission, fold)

@@ -18,13 +18,14 @@ never mix flavors and detectors and analyzers are flavor-blind, so the
 mixture has the statistics of a coherent common-plus-private superposition
 per photon (Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844
 (2015)); :func:`run_fusion` evolves each branch and sums the weighted
-results.  Loss is a rate-only effect here (patterns are post-selected on
-the full photon number), so per-port transmission only enters the
-coincidence-rate estimators in :mod:`fusionsim.detection`.
+results.  Loss is not simulated: patterns are post-selected on the full
+photon number, so loss only scales coincidence rates
+(:func:`fusionsim.detection.nfold_rate`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -47,11 +48,13 @@ from .fock import (
     apply_network,
     compose,
     create_photons,
-    partition,
     pattern_distribution,
     project_port_counts,
     superpose,
     _group,
+    _norms,
+    _parts,
+    _patterns,
 )
 
 # Port map of the bench.
@@ -94,7 +97,6 @@ class ExperimentConfig:
     """Knobs of one simulated run.
 
     overlap            pairwise indistinguishability of any two photons
-    transmission       per-photon end-to-end efficiency (rate model only)
     ancilla_enabled    include the two N00N rails and their splitters
     phase              relative H/V phase on the port-2 arm, radians
     per_photon_overlap optional per-photon weights v_i on the common wave
@@ -103,7 +105,6 @@ class ExperimentConfig:
     """
 
     overlap: float = 1.0
-    transmission: float = 1.0
     ancilla_enabled: bool = True
     phase: float = 0.0
     per_photon_overlap: tuple[float, ...] | None = None
@@ -111,8 +112,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 <= self.overlap <= 1.0:
             raise ValueError("overlap must lie in [0, 1]")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError("transmission must lie in [0, 1]")
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
         if self.per_photon_overlap is not None:
@@ -375,8 +374,8 @@ def run_fusion(
     ``FULL_PREPARATION`` (both Bell pairs are built from photons 1-4, and
     heralded analyzer states are returned alongside the distribution).
     For full-preparation runs ``conditional_filter`` restricts which
-    patterns get a heralded state (a predicate on the pattern tuple);
-    None keeps them all.
+    patterns get a heralded state (a predicate on the pattern tuple,
+    asked once per distinct pattern); None keeps them all.
 
     Each branch of :func:`flavor_branches` is evolved on its own; its
     probabilities and densities enter with the branch weight times its
@@ -404,23 +403,45 @@ def run_fusion(
     network = build_fusion_network(config)
     groups = detection_groups(config)
     track_conditionals = label == FULL_PREPARATION
-    probs: dict[tuple[int, ...], float] = {}
-    conditionals: dict[tuple[int, ...], np.ndarray] = {}
+    # Patterns stay int64 codes until the end: each code gets an
+    # accumulator slot on first appearance, so the table keeps that order.
+    slots: dict[int, int] = {}
+    probs = np.zeros(0)
+    kept: list[bool] = []
+    conditionals: dict[int, np.ndarray] = {}
     for weight, state in prepared:
         weight /= total
         out = apply_network(state, network)
-        for pattern, prob in pattern_distribution(out, groups).items():
-            probs[pattern] = probs.get(pattern, 0.0) + weight * prob
+        order, codes, bounds = _parts(out, groups)
+        codes = codes.tolist()  # Python ints hash faster than numpy scalars
+        fresh = list(itertools.filterfalse(slots.__contains__, codes))
+        if fresh:
+            slots.update(zip(fresh, itertools.count(len(slots))))
+            probs = np.concatenate((probs, np.zeros(len(fresh))))
+            if track_conditionals:
+                fresh_patterns = _patterns(np.array(fresh, np.int64), len(groups))
+                kept += [conditional_filter is None or conditional_filter(pattern)
+                         for pattern in fresh_patterns]
+        slot = np.fromiter(map(slots.__getitem__, codes), np.intp, len(codes))
+        probs[slot] += weight * np.array(_norms(out, order, bounds))
         if not track_conditionals:
             continue
-        for pattern, part in partition(out, groups).items():
-            if conditional_filter is None or conditional_filter(pattern):
+        occ, amps = out.occ.take(order, axis=0), out.amps[order]
+        for s, lo, hi in zip(slot.tolist(), bounds, bounds[1:]):
+            if kept[s]:
+                part = FockState._of(out.modes, occ[lo:hi], amps[lo:hi])
                 rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
-                if pattern in conditionals:
-                    rho += conditionals[pattern]
-                conditionals[pattern] = rho
+                if s in conditionals:
+                    rho += conditionals[s]
+                conditionals[s] = rho
+    patterns = _patterns(np.fromiter(slots, np.int64, len(slots)), len(groups))
+    heralded = {patterns[s]: rho for s, rho in conditionals.items()}
     return FusionResult(
-        label, config, groups, probs, conditionals if track_conditionals else None
+        label,
+        config,
+        groups,
+        dict(zip(patterns, probs.tolist())),
+        heralded if track_conditionals else None,
     )
 
 

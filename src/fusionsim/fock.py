@@ -12,16 +12,18 @@ otherwise) is simulated as a classical mixture of states in which each
 photon has one flavor (experiment.flavor_branches).
 
 Rows are grouped one way only, by :func:`_group`, whose exact 64-bit row
-key telescopes to one table lookup per entry.  Evolution, :func:`compose`
-and :func:`superpose` sum equal rows in the order a term-by-term loop
-would, with complex products rounded as Python rounds them, so results are
-reproducible to the bit.  Detectors are flavor-blind: one helper counts the
-photons each detection group sees (a sum of occupation columns) and orders
-the rows by those counts.  :func:`partition` slices that order into
-states and :func:`pattern_distribution` into squared norms; every other
-Fock-state measurement (port-count projections, the heralded parts whose
-analyzer density matrices experiment.pair_density builds) is read off
-:func:`partition`'s parts.
+key telescopes to one table lookup per entry and whose numbering takes one
+sort of the keys.  Evolution, :func:`compose` and :func:`superpose` sum
+equal rows in the order a term-by-term loop would, with complex products
+rounded as Python rounds them, so results are reproducible to the bit.
+Detectors are flavor-blind: one helper keys each row by an exact int64
+pattern code, whose base-(MAX_PHOTONS + 1) digits are the photons each
+detection group sees (a sum of occupation columns), and orders the rows by
+part.  :func:`partition` slices that order into states and
+:func:`pattern_distribution` into squared norms, squaring each distinct
+magnitude once; experiment.run_fusion keeps the codes until its table is
+done.  Counting uses integer arithmetic only, so no path calls BLAS, whose
+threads spin on small float products.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -110,9 +112,22 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ones = _ONES[np.cumsum(rows, axis=1, dtype=np.uint8)]
         last = ones[:, -1] if width else np.uint64(0)
         rows = (width + 1) * last - ones.sum(axis=1, dtype=np.uint64)
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return np.argsort(order)[inverse], first[order]  # argsort inverts a permutation
+    # Sorting puts equal keys in runs; a run's smallest row index is its
+    # group's first row, whatever order the sort left ties in.
+    order = rows.argsort()
+    keys = rows[order]
+    leads = np.empty(len(rows), dtype=bool)
+    leads[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=leads[1:])
+    starts = leads.nonzero()[0]
+    heads = np.minimum.reduceat(order, starts) if len(starts) else starts
+    # Rank the runs by first row, then scatter each run's rank to its rows.
+    by_first = heads.argsort()
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(heads))
+    group = np.empty_like(order)
+    group[order] = rank[leads.cumsum() - 1]
+    return group, heads[by_first]
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,6 +394,7 @@ def apply_op(state: FockState, op: ElementaryOp) -> FockState:
     occ = _widened(state, modes)
     acted = [c for c, mode in enumerate(modes) if mode.port in ports]
     rest = [c for c, mode in enumerate(modes) if mode.port not in ports]
+    position = {modes[c]: i for i, c in enumerate(acted)}
 
     kind, first = _group(occ[:, acted])
     monos, weights = [], []
@@ -386,7 +402,7 @@ def apply_op(state: FockState, op: ElementaryOp) -> FockState:
         sub_occ = tuple((modes[c], n) for c, n in zip(acted, sub) if n)
         image, counts, weight = _expansion(op, sub_occ)
         monos.append(np.zeros((len(counts), len(acted)), dtype=np.uint8))
-        monos[-1][:, [acted.index(modes.index(m)) for m in image]] = counts
+        monos[-1][:, [position[m] for m in image]] = counts
         weights.append(weight)
     mono, weight = np.concatenate(monos), np.concatenate(weights)
 
@@ -402,8 +418,14 @@ def apply_op(state: FockState, op: ElementaryOp) -> FockState:
     amps = _sum_by(out, len(head), *_product(state.amps[row], weight[pick]))
 
     keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS  # Python's abs, bit for bit
-    new = occ[row[head[keep]]]
-    new[:, acted] = mono[pick[head[keep]]]
+    # An output row is its input's rest columns plus its monomial's acted
+    # ones; take copies whole rows, several times faster than [] here.
+    rest_only = occ.copy()
+    rest_only[:, acted] = 0
+    placed = np.zeros((len(mono), len(modes)), dtype=np.uint8)
+    placed[:, acted] = mono
+    new = rest_only.take(row[head[keep]], axis=0)
+    new += placed.take(pick[head[keep]], axis=0)
     return FockState._of(modes, new, amps[keep])
 
 
@@ -418,12 +440,15 @@ def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:
 # Measurement-side helpers
 #
 # _parts is the one place that counts photons per detection group, summing
-# each group's occupation columns, and orders rows stably by those counts.
-# partition slices states out of that order and pattern_distribution squared
-# norms out of the same slices; the port-count projection and
-# experiment.run_fusion's heralded parts are read off partition's states.
-# post_select masks rows on exact mode counts on its own, so tests can check
-# the heralded density matrices against it.
+# each group's occupation columns into an int64 pattern code (count j is
+# digit j in base _RADIX), numbers the codes with _group and orders rows
+# stably by part.  partition slices states out of that order and
+# pattern_distribution squared norms (_norms) out of the same runs, decoding
+# the codes to tuples (_patterns) once per part; the port-count projection
+# reads partition's states.  experiment.run_fusion calls _parts once per
+# branch and keeps the codes until its table is done.  post_select masks
+# rows on exact mode counts on its own, so tests can check the heralded
+# density matrices against it.
 # --------------------------------------------------------------------------
 
 
@@ -452,26 +477,53 @@ Group = tuple[int, Union[str, None]]
 Pattern = tuple[int, ...]
 
 
+#: Detector counts are the digits of an int64 pattern code in this base.
+_RADIX = MAX_PHOTONS + 1
+
+
 def _parts(
     state: FockState, groups: Sequence[Group]
-) -> tuple[np.ndarray, dict[Pattern, slice]]:
-    """The stable row order that makes each :func:`partition` part a
-    contiguous run, and each part's key mapped to its run, in order of the
-    parts' first rows."""
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Rows split by their photon counts over ``groups``: the stable row
+    order that makes each :func:`partition` part a contiguous run, the
+    parts' pattern codes in order of their first rows, and the run bounds
+    (part i is rows ``bounds[i]:bounds[i + 1]`` of that order).  A code is
+    sum_j count_j * _RADIX ** j, so it fits int64 for up to 19 groups."""
     slots = [((port, p), j) for j, (port, pol) in enumerate(groups)
              for p in ((pol,) if pol else POLARIZATIONS)]
     column = dict(slots)
     if len(column) < len(slots):
         raise ValueError(f"detection groups overlap: {list(groups)}")
+    if _RADIX ** len(groups) > 2**63:
+        raise ValueError(f"{len(groups)} detection groups overflow the int64 code")
     # The groups are disjoint, so each mode's column adds to at most one count.
     counts = np.zeros((len(groups), len(state)), dtype=np.uint8)
     for c, m in enumerate(state.modes):
         if (m.port, m.pol) in column:
             counts[column[m.port, m.pol]] += state.occ[:, c]
-    part, first = _group(counts.T)
-    ends = np.cumsum(np.bincount(part)).tolist()
-    keys = map(tuple, counts.T[first].tolist())
-    return np.argsort(part, kind="stable"), dict(zip(keys, map(slice, [0] + ends, ends)))
+    # An integer product, which numpy computes without BLAS (BLAS thread
+    # pools spin on small float products and slow every other path).
+    code = _RADIX ** np.arange(len(groups), dtype=np.int64) @ counts
+    part, first = _group(code)
+    bounds = [0] + np.cumsum(np.bincount(part)).tolist()
+    return np.argsort(part, kind="stable"), code[first], bounds
+
+
+def _patterns(codes: np.ndarray, width: int) -> list[Pattern]:
+    """The detector counts that ``width``-group pattern codes hold."""
+    digits = codes[:, None] // _RADIX ** np.arange(width, dtype=np.int64) % _RADIX
+    return list(map(tuple, digits.tolist()))
+
+
+def _norms(state: FockState, order: np.ndarray, bounds: list[int]) -> list[float]:
+    """Squared norms of the runs of ``state``'s rows in ``order``."""
+    # Python's abs(a) ** 2: np.hypot is abs bit for bit, but a vectorized
+    # square rounds differently from Python's ** 2.  Magnitudes repeat
+    # heavily, so each distinct one is squared once and scattered back.
+    magnitudes = np.hypot(state.amps.real, state.amps.imag)
+    distinct, index = np.unique(magnitudes, return_inverse=True)
+    squares = np.array([h ** 2 for h in distinct.tolist()])[index[order]].tolist()
+    return [math.fsum(squares[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockState]:
@@ -482,10 +534,10 @@ def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockSt
     row lands, unchanged and in order, in the part keyed by its counts
     (parts in order of their first rows), so the parts are orthogonal.
     """
-    order, parts = _parts(state, groups)
+    order, codes, bounds = _parts(state, groups)
     occ, amps = state.occ[order], state.amps[order]
-    return {key: FockState._of(state.modes, occ[run], amps[run])
-            for key, run in parts.items()}
+    return {key: FockState._of(state.modes, occ[lo:hi], amps[lo:hi])
+            for key, lo, hi in zip(_patterns(codes, len(groups)), bounds, bounds[1:])}
 
 
 def pattern_distribution(
@@ -495,11 +547,8 @@ def pattern_distribution(
     squared norm of each :func:`partition` part, in the same order, without
     building the parts.  Modes outside every group are marginalized; for a
     normalized state the probabilities sum to 1."""
-    order, parts = _parts(state, groups)
-    # Python's abs(a) ** 2: np.hypot is abs bit for bit, but a vectorized
-    # square rounds differently from Python's ** 2.
-    squares = [h ** 2 for h in np.hypot(state.amps.real, state.amps.imag)[order].tolist()]
-    return {key: math.fsum(squares[run]) for key, run in parts.items()}
+    order, codes, bounds = _parts(state, groups)
+    return dict(zip(_patterns(codes, len(groups)), _norms(state, order, bounds)))
 
 
 def project_port_counts(

@@ -9,10 +9,8 @@ from fusionsim.detection import (
     OutcomeStats,
     PPNRDConfig,
     classify_distribution,
-    compose_efficiency,
     derive_discrimination_table,
     estimate_fidelity_singlet,
-    expected_coincidence_rate,
     fold_clicks,
     heralded_mixture,
     ideal_table,
@@ -360,14 +358,3 @@ class TestScalarEstimators:
             nfold_rate(1.0, 1.2, 2)
         with pytest.raises(ValueError):
             nfold_rate(1.0, 0.5, 0)
-
-    def test_efficiency_composition(self):
-        eta = compose_efficiency(0.712, 0.31, 0.72)
-        assert abs(eta - 0.16) < 0.0015
-        with pytest.raises(ValueError):
-            compose_efficiency(1.2, 0.5, 0.5)
-
-    def test_config_transmission_drives_rate(self):
-        config = ExperimentConfig(transmission=0.16)
-        rate = expected_coincidence_rate(config, 7.1e6)
-        assert abs(rate - nfold_rate(7.1e6, 0.16, 8)) < 1e-12

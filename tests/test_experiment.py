@@ -51,6 +51,7 @@ from fusionsim.fock import (
     compose,
     create_photons,
     occupation,
+    partition,
     pattern_distribution,
     post_select,
     project_port_counts,
@@ -246,6 +247,72 @@ class TestMemoizedPreparations:
         )
         assert list(first) == list(second)
         assert [p.hex() for p in first.values()] == [p.hex() for p in second.values()]
+
+
+def accumulated_tables(fusion_input, config: ExperimentConfig, conditional_filter=None):
+    """run_fusion's pattern table and heralded densities, summed branch by
+    branch and pattern by pattern in dict order: weight * prob from
+    pattern_distribution, and weight * pair_density of each kept
+    partition part."""
+    full = fusion_input == FULL_PREPARATION
+    photon_ids = (1, 2, 3, 4, 5, 6, 7, 8) if full else (2, 3, 5, 6, 7, 8)
+    prepared = []
+    for weight, f in flavor_branches(photon_ids, config):
+        if full:
+            state, prob = full_preparation(f)
+        else:
+            state, prob = compose(
+                bell_state(PORT_FUSE_A, PORT_FUSE_B, fusion_input, f[2], f[3]),
+                prepare_noon_pair(PORT_ANCILLA_A, 6, (f[5], f[6])),
+                prepare_noon_pair(PORT_ANCILLA_B, 8, (f[7], f[8])),
+            ), 1.0
+        prepared.append((weight * prob, state))
+    total = math.fsum(weight for weight, _ in prepared)
+    network, groups = build_fusion_network(config), detection_groups(config)
+    probs, densities = {}, {}
+    for weight, state in prepared:
+        weight /= total
+        out = apply_network(state, network)
+        for pattern, prob in pattern_distribution(out, groups).items():
+            probs[pattern] = probs.get(pattern, 0.0) + weight * prob
+        if not full:
+            continue
+        for pattern, part in partition(out, groups).items():
+            if conditional_filter(pattern):
+                rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
+                if pattern in densities:
+                    rho = rho + densities[pattern]
+                densities[pattern] = rho
+    return probs, densities
+
+
+class TestAccumulationOracle:
+    """run_fusion's accumulation equals the plain dict loop, item by item:
+    same keys in the same order, same bits."""
+
+    @staticmethod
+    def assert_same_table(table, oracle):
+        assert list(table) == list(oracle)
+        assert [p.hex() for p in table.values()] == [p.hex() for p in oracle.values()]
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_bell_inputs_at_v95(self, label):
+        config = ExperimentConfig(overlap=0.95)
+        probs, _ = accumulated_tables(label, config)
+        self.assert_same_table(run_fusion(label, config).pattern_probs, probs)
+
+    def test_full_preparation_with_two_branches(self):
+        config = ExperimentConfig(per_photon_overlap=(1.0, 0.9) + (1.0,) * 6)
+        assert len(flavor_branches(range(1, N_PHOTONS + 1), config)) == 2
+        def keep(pattern):
+            return sum(pattern[:4]) == 3
+
+        probs, densities = accumulated_tables(FULL_PREPARATION, config, keep)
+        result = run_fusion(FULL_PREPARATION, config, conditional_filter=keep)
+        self.assert_same_table(result.pattern_probs, probs)
+        assert densities and list(result.conditional_states) == list(densities)
+        for pattern, rho in densities.items():
+            assert result.conditional_states[pattern].tobytes() == rho.tobytes()
 
 
 def branch_hom_visibility(config: ExperimentConfig) -> float:
@@ -740,8 +807,6 @@ class TestConfigValidation:
     def test_ranges(self):
         with pytest.raises(ValueError):
             ExperimentConfig(overlap=1.2)
-        with pytest.raises(ValueError):
-            ExperimentConfig(transmission=-0.1)
         with pytest.raises(ValueError):
             ExperimentConfig(phase=math.inf)
         with pytest.raises(ValueError):

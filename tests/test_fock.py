@@ -28,6 +28,8 @@ from fusionsim.fock import (
     superpose,
     vacuum,
     _group,
+    _parts,
+    _patterns,
     _product,
 )
 
@@ -265,6 +267,108 @@ class TestPatternDistribution:
         assert [p.hex() for p in dist.values()] == [
             part.norm_squared().hex() for part in parts.values()
         ]
+
+
+    def test_repeated_magnitudes_bit_for_bit(self):
+        """Thousands of rows share four magnitudes (signs, swaps and
+        conjugates of four amplitudes), spread over many parts, so each
+        distinct square must reach exactly its own rows."""
+        rng = np.random.default_rng(23)
+        modes = [Mode(port, pol, f) for port in range(3) for pol in (H, V) for f in (0, 1)]
+        bases = [complex(rng.normal(), rng.normal()) for _ in range(4)]
+        terms = {}
+        for _ in range(4000):
+            photons = rng.integers(len(modes), size=int(rng.integers(1, MAX_PHOTONS + 1)))
+            counts = {modes[i]: photons.tolist().count(i) for i in set(photons.tolist())}
+            z = bases[rng.integers(4)]
+            re, im = (z.imag, z.real) if rng.integers(2) else (z.real, z.imag)
+            signs = rng.choice([-1, 1], size=2)
+            terms[occupation(counts)] = complex(re * signs[0], im * signs[1])
+        state = FockState(terms)
+        assert len(np.unique(np.hypot(state.amps.real, state.amps.imag))) == 4
+        groups = [(0, H), (1, None), (2, V)]
+        dist = pattern_distribution(state, groups)
+        parts = partition(state, groups)
+        assert len(parts) > 50
+        assert list(dist) == list(parts)
+        assert [p.hex() for p in dist.values()] == [
+            part.norm_squared().hex() for part in parts.values()
+        ]
+
+
+class TestPatternCodes:
+    """_parts keys rows by int64 codes whose base-(MAX_PHOTONS + 1) digits
+    are the photon counts per detection group."""
+
+    GROUPS = [(0, H), (1, None), (2, V), (3, H)]
+
+    def assert_codes_exact(self, state, groups):
+        order, codes, bounds = _parts(state, groups)
+        patterns = _patterns(codes, len(groups))
+        rows = list(state.terms)
+        assert bounds[0] == 0 and bounds[-1] == len(state) == len(order)
+        assert sorted(order.tolist()) == list(range(len(state)))
+        assert len(set(patterns)) == len(patterns) == len(bounds) - 1
+        firsts = [int(order[lo]) for lo in bounds[:-1]]
+        assert firsts == sorted(firsts)
+        for pattern, lo, hi in zip(patterns, bounds, bounds[1:]):
+            rows_in_part = order[lo:hi].tolist()
+            assert rows_in_part == sorted(rows_in_part)
+            for r in rows_in_part:
+                assert pattern == TestPartition.recount(rows[r], groups)
+
+    @staticmethod
+    def random_state(rng, n=400):
+        """Rows of 0 to 8 photons over ports 0-4, flavors 0 and 1, some with
+        all 8 photons on the last group's mode; port 4, 2H and 3V are in no
+        group."""
+        modes = [Mode(port, pol, f) for port in range(5) for pol in (H, V) for f in (0, 1)]
+        terms = {(): 0.5, ((Mode(3, H, 0), 5), (Mode(3, H, 1), 3)): 0.25}
+        for _ in range(n):
+            if rng.integers(10) == 0:
+                photons = [modes.index(Mode(3, H, int(rng.integers(2))))] * MAX_PHOTONS
+            else:
+                size = int(rng.integers(MAX_PHOTONS + 1))
+                photons = rng.integers(len(modes), size=size).tolist()
+            counts = {modes[i]: photons.count(i) for i in set(photons)}
+            terms[occupation(counts)] = complex(rng.normal(), rng.normal())
+        return FockState(terms)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_states(self, seed):
+        rng = np.random.default_rng(seed)
+        state = self.random_state(rng)
+        assert (state.occ.sum(axis=1) == MAX_PHOTONS).any()
+        self.assert_codes_exact(state, self.GROUPS)
+        self.assert_codes_exact(state, [(port, None) for port in range(5)])
+        self.assert_codes_exact(state, [(4, V)])
+        self.assert_codes_exact(state, [])
+
+    def test_eight_photons_in_the_top_digit(self):
+        state = create_photons([(Mode(3, H, 0), 6), (Mode(3, H, 1), 2)])
+        _, codes, _ = _parts(state, self.GROUPS)
+        assert codes.tolist() == [MAX_PHOTONS * (MAX_PHOTONS + 1) ** 3]
+        assert pattern_distribution(state, self.GROUPS) == {(0, 0, 0, 8): 1.0}
+
+    def test_zero_row_state(self):
+        state = FockState({})
+        order, codes, bounds = _parts(state, self.GROUPS)
+        assert (order.tolist(), codes.tolist(), bounds) == ([], [], [0])
+        assert pattern_distribution(state, self.GROUPS) == {}
+        assert partition(state, self.GROUPS) == {}
+
+    def test_codes_fit_int64_up_to_19_groups(self):
+        groups = [(port, None) for port in range(19)]
+        state = superpose([
+            (1.0, create_photons([(Mode(18, V), MAX_PHOTONS)])),
+            (1.0, create_photons([(Mode(port, H), 1) for port in range(11, 19)])),
+        ])
+        self.assert_codes_exact(state, groups)
+        assert list(pattern_distribution(state, groups)) == [
+            (0,) * 18 + (MAX_PHOTONS,), (0,) * 11 + (1,) * 8
+        ]
+        with pytest.raises(ValueError, match="int64"):
+            pattern_distribution(state, [(port, None) for port in range(20)])
 
 
 class TestPartition:
