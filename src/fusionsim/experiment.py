@@ -296,11 +296,11 @@ class FusionResult:
 
     pattern_probs maps flavor-blind photon-number patterns over ``groups``
     to probabilities (summing to 1).  For full-preparation runs,
-    ``conditional_states`` holds, per detected pattern, the heralded
-    polarization state of the analyzer photons as an unnormalized 4x4
-    density matrix (see :func:`pair_density`): flavors and the detector's
-    unresolved occupations are traced out, and its trace is the pattern's
-    probability.
+    ``conditional_states`` holds, for every pattern and in the same order,
+    the heralded polarization state of the analyzer photons as an
+    unnormalized 4x4 density matrix (see :func:`pair_density`): flavors and
+    the detector's unresolved occupations are traced out, and its trace is
+    the pattern's probability.
     """
 
     input_label: str
@@ -362,20 +362,13 @@ def _bell_input(
     return compose(*states), 1.0
 
 
-def run_fusion(
-    fusion_input: BellLabel | str,
-    config: ExperimentConfig,
-    conditional_filter=None,
-) -> FusionResult:
+def run_fusion(fusion_input: BellLabel | str, config: ExperimentConfig) -> FusionResult:
     """Evolve a fusion input through the interferometer exactly.
 
     ``fusion_input`` is either a :class:`BellLabel` (that Bell state is
     placed directly on the fused ports, ancillas prepared physically) or
-    ``FULL_PREPARATION`` (both Bell pairs are built from photons 1-4, and
-    heralded analyzer states are returned alongside the distribution).
-    For full-preparation runs ``conditional_filter`` restricts which
-    patterns get a heralded state (a predicate on the pattern tuple,
-    asked once per distinct pattern); None keeps them all.
+    ``FULL_PREPARATION`` (both Bell pairs are built from photons 1-4, and a
+    heralded analyzer state per pattern is returned with the distribution).
 
     Each branch of :func:`flavor_branches` is evolved on its own; its
     probabilities and densities enter with the branch weight times its
@@ -402,13 +395,11 @@ def run_fusion(
 
     network = build_fusion_network(config)
     groups = detection_groups(config)
-    track_conditionals = label == FULL_PREPARATION
     # Patterns stay int64 codes until the end: each code gets an
     # accumulator slot on first appearance, so the table keeps that order.
     slots: dict[int, int] = {}
     probs = np.zeros(0)
-    kept: list[bool] = []
-    conditionals: dict[int, np.ndarray] = {}
+    rhos = np.zeros((0, 4, 4), dtype=complex)
     for weight, state in prepared:
         weight /= total
         out = apply_network(state, network)
@@ -418,30 +409,20 @@ def run_fusion(
         if fresh:
             slots.update(zip(fresh, itertools.count(len(slots))))
             probs = np.concatenate((probs, np.zeros(len(fresh))))
-            if track_conditionals:
-                fresh_patterns = _patterns(np.array(fresh, np.int64), len(groups))
-                kept += [conditional_filter is None or conditional_filter(pattern)
-                         for pattern in fresh_patterns]
+            # -0.0 adds exactly, so a first density keeps its signed zeros.
+            rhos = np.concatenate((rhos, np.full((len(fresh), 4, 4), -0j)))
         slot = np.fromiter(map(slots.__getitem__, codes), np.intp, len(codes))
         probs[slot] += weight * np.array(_norms(out, order, bounds))
-        if not track_conditionals:
-            continue
-        occ, amps = out.occ.take(order, axis=0), out.amps[order]
-        for s, lo, hi in zip(slot.tolist(), bounds, bounds[1:]):
-            if kept[s]:
-                part = FockState._of(out.modes, occ[lo:hi], amps[lo:hi])
-                rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
-                if s in conditionals:
-                    rho += conditionals[s]
-                conditionals[s] = rho
+        if label == FULL_PREPARATION:
+            rhos[slot] += weight * _pair_densities(out, order, bounds,
+                                                   PORT_KEEP_A, PORT_KEEP_B)
     patterns = _patterns(np.fromiter(slots, np.int64, len(slots)), len(groups))
-    heralded = {patterns[s]: rho for s, rho in conditionals.items()}
     return FusionResult(
         label,
         config,
         groups,
         dict(zip(patterns, probs.tolist())),
-        heralded if track_conditionals else None,
+        dict(zip(patterns, rhos)) if label == FULL_PREPARATION else None,
     )
 
 
@@ -454,19 +435,46 @@ def run_fusion(
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _analyzer_probe(modes: tuple[Mode, ...], ports: tuple[int, int]) -> np.ndarray:
-    """One row per mode of ``modes``: a 1 in the mode's column once each
-    analyzer port's H and V are merged per flavor, then four flags (on
-    each of ``ports``, then V on each)."""
-    merged = [m._replace(pol=H) if m.port in ports else m for m in modes]
-    columns = sorted(set(merged))
-    probe = np.zeros((len(modes), len(columns) + 4), dtype=np.uint8)
-    for i, (m, key) in enumerate(zip(modes, merged)):
-        flags = [m.port == p for p in ports] + [m[:2] == (p, V) for p in ports]
-        probe[i, [columns.index(key), -4, -3, -2, -1]] = [1] + flags
-    probe.flags.writeable = False
-    return probe
+#: :func:`_pair_densities` groups runs by windows of this many rows, to bound memory.
+_DENSITY_ROWS = 1 << 12
+
+
+def _pair_densities(state: FockState, order: np.ndarray, bounds: list[int],
+                    port_x: int, port_y: int) -> np.ndarray:
+    """:func:`pair_density` of each run of ``state``'s rows in ``order``, run
+    i being rows ``bounds[i]:bounds[i + 1]``.  If the runs split rows by
+    counts off the two ports (as fock._parts does), no group spans two runs,
+    and a run's groups are numbered as a call on that run alone would."""
+    if port_x == port_y:
+        raise ValueError("analyzer needs two distinct ports")
+    ports = (port_x, port_y)
+    # Probe row j sums the columns probe[j]: each key mode, then H and V per port.
+    merged = [m._replace(pol=H) if m.port in ports else m for m in state.modes]
+    probe = [[c for c, m in enumerate(merged) if m == key]
+             for key in dict.fromkeys(merged)]
+    probe += [[c for c, m in enumerate(state.modes) if m[:2] == (p, pol)]
+              for p in ports for pol in (H, V)]
+    rhos = np.empty((len(bounds) - 1, 4, 4), dtype=complex)
+    cuts = np.flatnonzero(np.diff(np.floor_divide(bounds[:-1], _DENSITY_ROWS))) + 1
+    for start, stop in itertools.pairwise([0, *cuts.tolist(), len(rhos)]):
+        rows = order[bounds[start] : bounds[stop]]
+        occ = state.occ.take(rows, axis=0)
+        # Column sums: numpy's integer matrix product is a plain triple loop.
+        counts = np.zeros((len(probe), len(rows)), dtype=np.uint8)
+        for j, cols in enumerate(probe):
+            for c in cols:
+                counts[j] += occ[:, c]
+        for port, h, v in zip(ports, counts[-4::2], counts[-3::2]):
+            if (h + v != 1).any():
+                raise ValueError(f"state is not one photon on analyzer port {port}")
+        group, first = _group(counts[:-4].T)
+        a = np.zeros((len(first), 4), dtype=complex)
+        a[group, 2 * counts[-3] + counts[-1]] = state.amps.take(rows)
+        # Groups are numbered by first row: run i's first rows lie in run i.
+        runs = np.searchsorted(first + bounds[start], bounds[start : stop + 1])
+        for i, (lo, hi) in enumerate(itertools.pairwise(runs.tolist()), start):
+            rhos[i] = a[lo:hi].T @ a[lo:hi].conj()
+    return rhos
 
 
 def pair_density(state: FockState, port_x: int, port_y: int) -> np.ndarray:
@@ -479,16 +487,8 @@ def pair_density(state: FockState, port_x: int, port_y: int) -> np.ndarray:
     sum_k |a_k><a_k| traces out flavors and all other modes.  Its trace is
     the state's squared norm.
     """
-    if port_x == port_y:
-        raise ValueError("analyzer needs two distinct ports")
-    probe = state.occ @ _analyzer_probe(state.modes, (port_x, port_y))
-    for port, count in zip((port_x, port_y), probe[:, -4:-2].T):
-        if (count != 1).any():
-            raise ValueError(f"state is not one photon on analyzer port {port}")
-    group, first = _group(probe[:, :-4])
-    a = np.zeros((len(first), 4), dtype=complex)
-    a[group, 2 * probe[:, -2] + probe[:, -1]] = state.amps
-    return a.T @ a.conj()
+    everything = np.arange(len(state))
+    return _pair_densities(state, everything, [0, len(state)], port_x, port_y)[0]
 
 
 def pair_projection_prob(
@@ -600,11 +600,7 @@ def phase_sweep(
     }
     points = []
     for phi in phases:
-        result = run_fusion(
-            FULL_PREPARATION,
-            replace(config, phase=phi),
-            conditional_filter=lambda p: p in _SINGLET_HERALDS,
-        )
+        result = run_fusion(FULL_PREPARATION, replace(config, phase=phi))
         joint = {name: 0.0 for name in targets}
         for pattern in _SINGLET_HERALDS:
             rho = result.conditional_states.get(pattern)

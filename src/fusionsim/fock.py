@@ -21,9 +21,9 @@ pattern code, whose base-(MAX_PHOTONS + 1) digits are the photons each
 detection group sees (a sum of occupation columns), and orders the rows by
 part.  :func:`partition` slices that order into states and
 :func:`pattern_distribution` into squared norms, squaring each distinct
-magnitude once; experiment.run_fusion keeps the codes until its table is
-done.  Counting uses integer arithmetic only, so no path calls BLAS, whose
-threads spin on small float products.
+magnitude once; experiment.run_fusion reads its table and heralded
+densities off the same order.  Counting uses integer arithmetic only, so
+no path calls BLAS, whose threads spin on small float products.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -234,7 +234,7 @@ def _merged(modes: tuple[Mode, ...], occ: np.ndarray, re, im) -> FockState:
     """Rows ``occ`` with amplitudes re + i im, equal rows summed, zeros dropped."""
     group, first = _group(occ)
     amps = _sum_by(group, len(first), re, im)
-    return FockState._of(modes, occ[first[amps != 0]], amps[amps != 0])
+    return FockState._of(modes, occ.take(first[amps != 0], axis=0), amps[amps != 0])
 
 
 def vacuum() -> FockState:
@@ -446,9 +446,10 @@ def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:
 # pattern_distribution squared norms (_norms) out of the same runs, decoding
 # the codes to tuples (_patterns) once per part; the port-count projection
 # reads partition's states.  experiment.run_fusion calls _parts once per
-# branch and keeps the codes until its table is done.  post_select masks
-# rows on exact mode counts on its own, so tests can check the heralded
-# density matrices against it.
+# branch, reads its table (_norms) and every part's heralded density
+# (experiment._pair_densities) off those runs, and keeps the codes until
+# its table is done.  post_select masks rows on exact mode counts on its
+# own, so tests can check the heralded density matrices against it.
 # --------------------------------------------------------------------------
 
 
@@ -465,7 +466,8 @@ def post_select(state: FockState, pattern: Mapping[Mode, int]) -> tuple[FockStat
     # Selected rows agree on the pattern columns, so dropping them keeps rows distinct.
     kept = [c for c, mode in enumerate(state.modes) if mode not in pattern]
     modes = tuple(state.modes[c] for c in kept)
-    rest = FockState._of(modes, state.occ[mask][:, kept], state.amps[mask])
+    rows = np.flatnonzero(mask)
+    rest = FockState._of(modes, state.occ.take(rows, axis=0)[:, kept], state.amps[rows])
     prob = rest.norm_squared()
     return (rest.normalized(), prob) if prob else (FockState({}), 0.0)
 
@@ -535,7 +537,7 @@ def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockSt
     (parts in order of their first rows), so the parts are orthogonal.
     """
     order, codes, bounds = _parts(state, groups)
-    occ, amps = state.occ[order], state.amps[order]
+    occ, amps = state.occ.take(order, axis=0), state.amps[order]
     return {key: FockState._of(state.modes, occ[lo:hi], amps[lo:hi])
             for key, lo, hi in zip(_patterns(codes, len(groups)), bounds, bounds[1:])}
 

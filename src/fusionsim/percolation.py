@@ -415,6 +415,8 @@ def direct_monte_carlo(
     the observable directly.  Returns (mean, standard error)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if observable not in OBSERVABLES:
         raise ValueError(f"observable must be one of {OBSERVABLES}")
     n = lattice.n_sites

@@ -171,9 +171,7 @@ def test_criterion_5_monotone_degradation_and_heralded_fidelity():
     totals = []
     for overlap in V_GRID:
         config = ExperimentConfig(overlap=overlap)
-        result = run_fusion(
-            FULL_PREPARATION, config, conditional_filter=lambda p: sum(p[:4]) == 3
-        )
+        result = run_fusion(FULL_PREPARATION, config)
         mixture = detection.heralded_mixture(result, table, BellLabel.PSI_MINUS)
         fidelities.append(singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B))
         totals.append(detection.success_probability(config).total_success)

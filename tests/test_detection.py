@@ -288,9 +288,7 @@ class TestSuccessProbability:
 class TestHeraldedStates:
     def test_singlet_herald_fidelity_and_estimator_agree(self):
         config = ExperimentConfig()
-        result = run_fusion(
-            FULL_PREPARATION, config, conditional_filter=lambda p: sum(p[:4]) == 3
-        )
+        result = run_fusion(FULL_PREPARATION, config)
         table = ideal_table(config)
         mixture = heralded_mixture(result, table, BellLabel.PSI_MINUS)
         fid_direct = singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionsim import experiment
 from fusionsim.experiment import (
     FULL_PREPARATION,
     PORT_ANCILLA_A,
@@ -37,6 +38,7 @@ from fusionsim.experiment import (
     run_fusion,
     single_photon,
     singlet_fidelity,
+    _pair_densities,
 )
 from fusionsim.fock import (
     H,
@@ -56,6 +58,7 @@ from fusionsim.fock import (
     post_select,
     project_port_counts,
     superpose,
+    _parts,
 )
 
 SQ2 = math.sqrt(2)
@@ -249,11 +252,11 @@ class TestMemoizedPreparations:
         assert [p.hex() for p in first.values()] == [p.hex() for p in second.values()]
 
 
-def accumulated_tables(fusion_input, config: ExperimentConfig, conditional_filter=None):
+def accumulated_tables(fusion_input, config: ExperimentConfig):
     """run_fusion's pattern table and heralded densities, summed branch by
     branch and pattern by pattern in dict order: weight * prob from
-    pattern_distribution, and weight * pair_density of each kept
-    partition part."""
+    pattern_distribution, and weight * pair_density of each partition
+    part."""
     full = fusion_input == FULL_PREPARATION
     photon_ids = (1, 2, 3, 4, 5, 6, 7, 8) if full else (2, 3, 5, 6, 7, 8)
     prepared = []
@@ -278,11 +281,10 @@ def accumulated_tables(fusion_input, config: ExperimentConfig, conditional_filte
         if not full:
             continue
         for pattern, part in partition(out, groups).items():
-            if conditional_filter(pattern):
-                rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
-                if pattern in densities:
-                    rho = rho + densities[pattern]
-                densities[pattern] = rho
+            rho = weight * pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
+            if pattern in densities:
+                rho = rho + densities[pattern]
+            densities[pattern] = rho
     return probs, densities
 
 
@@ -304,15 +306,42 @@ class TestAccumulationOracle:
     def test_full_preparation_with_two_branches(self):
         config = ExperimentConfig(per_photon_overlap=(1.0, 0.9) + (1.0,) * 6)
         assert len(flavor_branches(range(1, N_PHOTONS + 1), config)) == 2
-        def keep(pattern):
-            return sum(pattern[:4]) == 3
-
-        probs, densities = accumulated_tables(FULL_PREPARATION, config, keep)
-        result = run_fusion(FULL_PREPARATION, config, conditional_filter=keep)
+        probs, densities = accumulated_tables(FULL_PREPARATION, config)
+        result = run_fusion(FULL_PREPARATION, config)
         self.assert_same_table(result.pattern_probs, probs)
-        assert densities and list(result.conditional_states) == list(densities)
+        assert list(result.conditional_states) == list(densities) == list(probs)
         for pattern, rho in densities.items():
             assert result.conditional_states[pattern].tobytes() == rho.tobytes()
+
+
+class TestPairDensities:
+    """_pair_densities over a branch's runs equals pair_density of each
+    partition part, bit for bit, however the runs are batched."""
+
+    CONFIG = ExperimentConfig(per_photon_overlap=(1.0, 0.9) + (1.0,) * 6)
+
+    @pytest.mark.parametrize("batch_rows", [None, 1, 1000])
+    def test_runs_match_per_part_densities(self, monkeypatch, batch_rows):
+        if batch_rows is not None:
+            monkeypatch.setattr(experiment, "_DENSITY_ROWS", batch_rows)
+        network = build_fusion_network(self.CONFIG)
+        groups = detection_groups(self.CONFIG)
+        branches = flavor_branches(range(1, N_PHOTONS + 1), self.CONFIG)
+        assert len(branches) == 2
+        for _, flavors in branches:
+            out = apply_network(full_preparation(flavors)[0], network)
+            assert len(out) > 1000  # so a 1000-row batch ends inside the branch
+            order, _, bounds = _parts(out, groups)
+            rhos = _pair_densities(out, order, bounds, PORT_KEEP_A, PORT_KEEP_B)
+            parts = partition(out, groups)
+            assert len(rhos) == len(parts)
+            for rho, part in zip(rhos, parts.values()):
+                oracle = pair_density(part, PORT_KEEP_A, PORT_KEEP_B)
+                assert rho.tobytes() == oracle.tobytes()
+
+    def test_empty_state_has_zero_density(self):
+        rho = pair_density(FockState({}), 1, 4)
+        assert rho.tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
 
 
 def branch_hom_visibility(config: ExperimentConfig) -> float:
@@ -539,7 +568,7 @@ class TestFusionRuns:
         """At perfect overlap the fused halves reduce to the uniform Bell
         mixture, so the full preparation reproduces the averaged labels."""
         cfg = ExperimentConfig()
-        full = run_fusion(FULL_PREPARATION, cfg, conditional_filter=lambda p: False)
+        full = run_fusion(FULL_PREPARATION, cfg)
         mix: dict = {}
         for label in BellLabel:
             for pattern, prob in run_fusion(label, cfg).pattern_probs.items():

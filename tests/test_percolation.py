@@ -250,6 +250,12 @@ class TestAgreementWithDirectSampling:
             sigma = math.sqrt(curve.stderr[j] ** 2 + mc_err**2)
             assert abs(curve.mean[j] - mc_mean) <= 3.0 * max(sigma, 1e-6)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_direct_sampling_needs_a_trial(self, trials):
+        lat = build_square_lattice(4, "open")
+        with pytest.raises(ValueError, match="at least one trial"):
+            direct_monte_carlo(lat, PercModel(mode="bond"), 0.5, trials=trials, seed=1)
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
