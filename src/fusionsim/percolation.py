@@ -8,8 +8,10 @@ binomial convolution (Newman and Ziff).  ``sweep_curves`` thus gives the
 whole curve of both observables from a single pass per trial (and
 ``size_sweeps`` does so per lattice size), which is what makes
 1000 x 1000 lattices practical.  Each trial is convolved onto the grid as
-soon as it finishes, so memory is O(trials x grid), and the pass stops at
-the last step that any grid point's binomial window reads.
+soon as it finishes, so memory is O(trials x grid).  The pass covers only
+the steps that the grid points' binomial windows read: the bonds in
+effect by the first such step are merged at once, by vectorized root
+hooking, and the union-find runs from there to the last such step.
 
 The site-bond mode activates sites and bonds with the same probability:
 a site is a fused node of the growing cluster state and a bond an
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -141,10 +142,38 @@ def _merge_order(
         site_step, bond_step = step[:n], step[n:]
     key = np.maximum(bond_step, site_step[bonds[:, 0]])
     np.maximum(key, site_step[bonds[:, 1]], out=key)
-    # cand is ascending, so the stable sort keeps ties in bond order.
+    # Ties are bonds completed by one site at the same step.  Their order
+    # cannot move a record: entry k is read only after every bond of step
+    # k, and connectivity after a step does not depend on the order
+    # within it.  So the faster unstable sort serves.
     cand = np.flatnonzero(key <= last_step)
-    ranked = cand[np.argsort(key[cand], kind="stable")]
-    return key[ranked], bonds[ranked], int(site_step.min())
+    ranked = cand[np.argsort(key[cand])]
+    return key[ranked], bonds.take(ranked, axis=0), int(site_step.min())
+
+
+def _prefix_roots(n: int, edges: np.ndarray) -> np.ndarray:
+    """Smallest site of each site's component in the graph of ``edges``.
+
+    Each round hooks the larger root of every edge that joins two roots
+    onto the smallest root it meets (``np.minimum.at``), then pointer-jumps
+    until every site points at its root; rounds repeat until no edge
+    joins two roots.  Pointers only ever go to smaller sites, so each root
+    is the smallest site of its tree.
+    """
+    root = np.arange(n)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        live = ru != rv
+        if not live.any():
+            return root
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
 
 
 def run_trial(
@@ -153,40 +182,67 @@ def run_trial(
     seed: int,
     trial: int = 0,
     last_step: Optional[int] = None,
+    first_step: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One microcanonical sweep: element m of the random order is added at
-    step m, and entry m of each returned record holds an observable after
-    it.  Returns ``(largest, spanning)`` for steps 0..``last_step``
-    (default: the whole sweep of M elements).
+    step m, and an observable after step m is recorded.  Returns
+    ``(largest, spanning)`` for steps ``first_step``..``last_step``
+    (default: the whole sweep of M elements), entry i holding step
+    ``first_step + i``.
 
-    ``largest`` is the largest-cluster size S_m (entry 0 is 1 in bond mode,
+    ``largest`` is the largest-cluster size S_m (1 at step 0 in bond mode,
     where isolated sites are clusters, and 0 in site-bond mode, where no
     site is active yet).  ``spanning`` is the 0/1 indicator of a cluster
     touching both the first and last row.
 
-    Bonds are merged with union by size and path halving in order of
-    effective step (ties in bond order), and only bonds that take effect by
-    ``last_step`` are merged at all.  The largest-cluster record is written
-    where the largest cluster grows and forward-filled; the spanning record
-    switches on at the first merge that joins the two rows, after which the
-    row bits are no longer tracked.
+    The bonds in effect by ``first_step`` are merged at once by
+    ``_prefix_roots``, which seeds the union-find with its components;
+    the rest are merged with union by size and path halving in order of
+    effective step, up to ``last_step``.  The largest-cluster record is
+    written where the largest cluster grows and forward-filled; the
+    spanning record switches on at the first merge that joins the two
+    rows, after which the row bits are no longer tracked.
     """
+    m_total = n_elements(lattice, model)
     if last_step is None:
-        last_step = n_elements(lattice, model)
+        last_step = m_total
+    if not 0 <= first_step <= last_step <= m_total:
+        raise ValueError(
+            f"need 0 <= first_step <= last_step <= {m_total}, "
+            f"got first_step={first_step}, last_step={last_step}"
+        )
     keys, ends, first_site = _merge_order(lattice, model, seed, trial, last_step)
-    largest = np.zeros(last_step + 1, dtype=np.int64)
-    spanning = np.zeros(last_step + 1, dtype=np.int64)
-    if first_site <= last_step:
-        largest[first_site] = 1
     n, L = lattice.n_sites, lattice.length
-    # Bit 1 marks a cluster touching the first row, bit 2 the last row.
-    rows = [0] * n
-    rows[:L] = [1] * L
-    rows[n - L :] = [2] * L
-    spans = False
-    parent = list(range(n))
-    size = [1] * n
-    biggest = 1
+    cut = int(np.searchsorted(keys, first_step, "right"))
+    # Flat forest: every site points at its prefix root.
+    parent = _prefix_roots(n, ends[:cut])
+    if cut:
+        # Window bonds start from their prefix roots; those inside one
+        # prefix cluster join nothing.
+        ends = parent[ends[cut:]]
+        keep = ends[:, 0] != ends[:, 1]
+        keys, ends = keys[cut:][keep], ends.compress(keep, axis=0)
+    keys -= first_step  # now the record index of each merge
+    # Each array becomes its list before the next is made, which bounds
+    # their memory at large sizes.  Bit 1 marks a cluster touching the
+    # first row, bit 2 the last row.
+    rows = np.zeros(n, dtype=np.int64)
+    np.bitwise_or.at(rows, parent[:L], 1)
+    np.bitwise_or.at(rows, parent[n - L :], 2)
+    spans = bool((rows == 3).any())
+    rows = rows.tolist()
+    size = np.bincount(parent, minlength=n)
+    biggest = int(size.max())
+    size = size.tolist()
+    parent = parent.tolist()
+    # np.zeros leaves the pages unwritten until the pass writes them
+    # (np.zeros_like would write them all at once).
+    largest = np.zeros(last_step - first_step + 1, dtype=np.int64)
+    spanning = np.zeros(last_step - first_step + 1, dtype=np.int64)
+    if first_site <= last_step:
+        largest[max(first_site - first_step, 0)] = biggest
+    if spans:
+        spanning[:] = 1
     # The merge order becomes Python lists one chunk at a time, which
     # bounds their memory at large sizes.
     for lo in range(0, len(keys), _MERGE_CHUNK):
@@ -294,6 +350,7 @@ def _trial_values(
     seed: int,
     trial: int,
     windows: Sequence[tuple[int, np.ndarray]],
+    first_step: int,
     last_step: int,
 ) -> tuple[np.ndarray, ...]:
     """One trial's observables on the grid, in ``OBSERVABLES`` order.
@@ -301,19 +358,22 @@ def _trial_values(
     Each grid point is the binomial mixture of the per-step record over its
     window; the records are dropped once they are convolved.
     """
-    records = run_trial(lattice, model, seed, trial, last_step=last_step)
-    return tuple(
-        np.array(
-            [weights @ record[start : start + len(weights)] for start, weights in windows]
+    shifted = [(start - first_step, weights) for start, weights in windows]
+    values = []
+    for record in run_trial(lattice, model, seed, trial, last_step, first_step):
+        # One float64 copy per record, not one cast slice per window.
+        record = record.astype(np.float64)
+        values.append(
+            np.array([w @ record[lo : lo + len(w)] for lo, w in shifted])
         )
-        for record in records
-    )
+    return tuple(values)
 
 
 def _sweep_chunk(args) -> list[tuple[np.ndarray, ...]]:
-    lattice, model, seed, trials, windows, last_step = args
+    lattice, model, seed, trials, windows, first_step, last_step = args
     return [
-        _trial_values(lattice, model, seed, t, windows, last_step) for t in trials
+        _trial_values(lattice, model, seed, t, windows, first_step, last_step)
+        for t in trials
     ]
 
 
@@ -331,26 +391,34 @@ def sweep_curves(
     Every element is occupied independently with the same probability, so
     the fixed-p observable is the binomial mixture of the per-step records.
     One pass per trial yields both observables; each trial is convolved as
-    it finishes, so memory is O(trials x grid), and the pass stops at the
-    last step any grid window reads.  Trials are keyed by (seed, trial
-    index) and aggregated in index order with compensated sums, so the
-    curves are bit-identical for any worker count.  The worker count is
-    clamped to the trial count and the CPU count.
+    it finishes, so memory is O(trials x grid), and the pass covers only
+    the steps from the first to the last that any grid window reads.
+    Trials are keyed by (seed, trial index) and aggregated in index order
+    with compensated sums, so the curves are bit-identical for any worker
+    count.  The worker count is clamped to the trial count and the CPU
+    count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     p_grid = np.asarray(p_grid, dtype=float)
+    if len(p_grid) == 0:
+        raise ValueError("need at least one grid point")
     m_total = n_elements(lattice, model)
     windows = [binomial_window(m_total, float(p)) for p in p_grid]
+    first_step = min(start for start, _ in windows)
     last_step = max(start + len(weights) - 1 for start, weights in windows)
     workers = max(1, min(workers, trials, os.cpu_count() or 1))
     chunks = [
-        (lattice, model, seed, range(i, trials, workers), windows, last_step)
+        (lattice, model, seed, range(i, trials, workers), windows, first_step, last_step)
         for i in range(workers)
     ]
     if workers == 1:
         partials = list(map(_sweep_chunk, chunks))
     else:
+        # Imported here: the pool module is a measurable part of the
+        # package's import time, and serial runs never need it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_sweep_chunk, chunks))
     # Chunk i holds trials i, i + workers, ...

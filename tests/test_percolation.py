@@ -1,5 +1,6 @@
 """Kruskal sweep, binomial convolution, and threshold estimation."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from collections import deque
@@ -85,6 +86,30 @@ def bfs_clusters(active_sites, live_bonds):
     return clusters
 
 
+def traversal_records(lat, mode, seed, trial):
+    """Both records of a trial, step by step, from a traversal of the
+    elements added in the first m steps of the trial's random order."""
+    n, m_total = lat.n_sites, n_elements(lat, PercModel(mode=mode))
+    order = trial_rng(seed, trial).permutation(m_total).tolist()
+    first, last = set(range(lat.length)), set(range(n - lat.length, n))
+    bond_base = 0 if mode == "bond" else n
+    active = set(range(n)) if mode == "bond" else set()
+    added = []
+    largest, spanning = [], []
+    for m in range(m_total + 1):
+        if m > 0:
+            element = order[m - 1]
+            if element < bond_base:
+                active.add(element)
+            else:
+                added.append(tuple(lat.bonds[element - bond_base]))
+        live = [(u, v) for u, v in added if u in active and v in active]
+        clusters = bfs_clusters(sorted(active), live)
+        largest.append(max(map(len, clusters), default=0))
+        spanning.append(int(any(c & first and c & last for c in clusters)))
+    return largest, spanning
+
+
 class TestRunTrial:
     def test_bond_mode_boundaries(self):
         lat = build_square_lattice(6, "open")
@@ -122,25 +147,27 @@ class TestRunTrial:
         for side, trial in ((2, 0), (3, 1), (4, 2), (5, 3)):
             lat = build_square_lattice(side, boundary)
             model = PercModel(mode=mode)
-            n, m_total = lat.n_sites, n_elements(lat, model)
             largest, spanning = run_trial(lat, model, seed=11, trial=trial)
-            order = trial_rng(11, trial).permutation(m_total).tolist()
-            first, last = set(range(side)), set(range(n - side, n))
-            bond_base = 0 if mode == "bond" else n
-            active = set(range(n)) if mode == "bond" else set()
-            added = []
-            for m in range(m_total + 1):
-                if m > 0:
-                    element = order[m - 1]
-                    if element < bond_base:
-                        active.add(element)
-                    else:
-                        added.append(tuple(lat.bonds[element - bond_base]))
-                live = [(u, v) for u, v in added if u in active and v in active]
-                clusters = bfs_clusters(sorted(active), live)
-                assert largest[m] == max(map(len, clusters), default=0)
-                spans = any(c & first and c & last for c in clusters)
-                assert spanning[m] == spans
+            expected = traversal_records(lat, mode, seed=11, trial=trial)
+            assert largest.tolist() == expected[0]
+            assert spanning.tolist() == expected[1]
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("mode", ["bond", "site-bond"])
+    def test_first_step_against_traversal(self, mode, boundary):
+        """A pass started at step k, with the bonds in effect by then merged
+        at once, matches the traversal at every step from k."""
+        for side, trial in ((2, 4), (3, 5), (4, 6), (5, 7)):
+            lat = build_square_lattice(side, boundary)
+            model = PercModel(mode=mode)
+            m_total = n_elements(lat, model)
+            expected = traversal_records(lat, mode, seed=12, trial=trial)
+            for k in range(0, m_total + 1, max(1, m_total // 7)):
+                largest, spanning = run_trial(
+                    lat, model, seed=12, trial=trial, first_step=k
+                )
+                assert largest.tolist() == expected[0][k:]
+                assert spanning.tolist() == expected[1][k:]
 
     @pytest.mark.parametrize("mode", ["bond", "site-bond"])
     def test_last_step_truncates_the_full_records(self, mode):
@@ -152,6 +179,31 @@ class TestRunTrial:
             for short, whole in zip(cut, full):
                 assert np.array_equal(short, whole[: k + 1])
 
+    @pytest.mark.parametrize("mode", ["bond", "site-bond"])
+    def test_first_step_slices_the_full_records(self, mode):
+        lat = build_square_lattice(7, "periodic")
+        model = PercModel(mode=mode)
+        m_total = n_elements(lat, model)
+        full = run_trial(lat, model, seed=8, trial=3)
+        order = trial_rng(8, 3).permutation(m_total)
+        first_site = 0 if mode == "bond" else 1 + int(np.argmax(order < lat.n_sites))
+        for k in (0, 1, first_site, m_total // 3, m_total // 2, m_total):
+            for last in (k, (k + m_total) // 2, m_total):
+                cut = run_trial(lat, model, 8, 3, last_step=last, first_step=k)
+                for short, whole in zip(cut, full):
+                    assert np.array_equal(short, whole[k : last + 1])
+
+    @pytest.mark.parametrize(
+        "first_step, last_step",
+        [(0, -1), (0, 41), (0, 10**6), (-1, 10), (11, 10), (41, None)],
+    )
+    def test_steps_outside_the_sweep_rejected(self, first_step, last_step):
+        lat = build_square_lattice(4, "open")
+        model = PercModel(mode="site-bond")
+        assert n_elements(lat, model) == 40
+        with pytest.raises(ValueError, match="first_step <= last_step"):
+            run_trial(lat, model, seed=1, last_step=last_step, first_step=first_step)
+
     def test_spanning_record_is_indicator(self):
         lat = build_square_lattice(6, "open")
         _, record = run_trial(lat, PercModel(), seed=3)
@@ -160,6 +212,42 @@ class TestRunTrial:
         # once spanning, always spanning
         first = int(np.argmax(record == 1))
         assert record[first:].min() == 1
+
+
+class TestPrefixRoots:
+    @staticmethod
+    def expected_roots(n, edges):
+        root = [0] * n
+        for cluster in bfs_clusters(range(n), edges):
+            for site in cluster:
+                root[site] = min(cluster)
+        return root
+
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    def test_random_edge_subsets_match_traversal(self, boundary):
+        rng = np.random.default_rng(4)
+        for side in (2, 3, 6, 11):
+            lat = build_square_lattice(side, boundary)
+            for fraction in (0.0, 0.2, 0.5, 0.8, 1.0):
+                edges = lat.bonds[rng.random(lat.n_bonds) < fraction]
+                edges = edges[rng.permutation(len(edges))]
+                roots = percolation._prefix_roots(lat.n_sites, edges)
+                assert roots.tolist() == self.expected_roots(
+                    lat.n_sites, edges.tolist()
+                )
+
+    def test_empty_edge_set(self):
+        edges = np.empty((0, 2), dtype=np.int64)
+        assert percolation._prefix_roots(5, edges).tolist() == list(range(5))
+
+    def test_duplicated_bonds(self):
+        """An L = 2 periodic lattice lists each bond twice."""
+        lat = build_square_lattice(2, "periodic")
+        assert len({tuple(sorted(b)) for b in lat.bonds.tolist()}) < lat.n_bonds
+        for subset in ([0, 4], [1, 5], [0, 2, 4, 6], list(range(lat.n_bonds))):
+            edges = lat.bonds[subset]
+            roots = percolation._prefix_roots(lat.n_sites, edges)
+            assert roots.tolist() == self.expected_roots(lat.n_sites, edges.tolist())
 
 
 class TestBinomialWindow:
@@ -205,6 +293,11 @@ class TestConvolution:
         assert curve.value_at(0.5) == curve.mean[1]
         with pytest.raises(ValueError):
             curve.value_at(0.333)
+
+    def test_empty_grid_rejected(self):
+        lat = build_square_lattice(4, "open")
+        with pytest.raises(ValueError, match="at least one grid point"):
+            sweep_curves(lat, PercModel(), [], trials=2, seed=1)
 
     def test_one_sweep_yields_both_observables(self):
         lat = build_square_lattice(9, "open")
@@ -292,7 +385,9 @@ class TestDeterminism:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(percolation, "ProcessPoolExecutor", SerialPool)
+        # sweep_curves imports the pool from concurrent.futures when it
+        # needs one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(percolation.os, "cpu_count", lambda: 3)
         lat = build_square_lattice(6, "open")
         model = PercModel(mode="site-bond")
