@@ -256,16 +256,15 @@ class SweepRunConfig:
     def __post_init__(self):
         if self.kind not in ("phase", "visibility"):
             raise ValueError("sweep kind must be 'phase' or 'visibility'")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
         if self.grid is not None and not self.grid:
             raise ValueError("sweep grid must hold at least one value")
-        if any(not math.isfinite(v) for v in self.grid or ()):
-            raise ValueError("sweep grid values must be finite")
-        if self.kind == "visibility" and any(
-            not 0.0 <= v <= 1.0 for v in self.grid or ()
-        ):
-            raise ValueError("visibility grid values must lie in [0, 1]")
+        # The physics configs check the ranges, as for fusion.
+        ExperimentConfig(overlap=self.visibility)
+        for v in self.grid or ():
+            if self.kind == "phase":
+                ExperimentConfig(phase=v)
+            else:
+                ExperimentConfig(overlap=v)
 
 
 def cmd_sweep(args) -> int:
@@ -425,12 +424,9 @@ def cmd_percolate(args) -> int:
             threshold_payload["method"] = f"unavailable (spanning {exc})"
         else:
             threshold_payload = {
-                "estimate": estimate.estimate,
-                "method": estimate.method,
+                **asdict(estimate),
                 "observable": "spanning",
-                "slope_peak": estimate.slope_peak,
-                "grid_step": estimate.grid_step,
-                "sizes": list(estimate.sizes),
+                # String keys: json sorts int keys as ints (8 before 12).
                 "crossings": {str(k): v for k, v in estimate.crossings.items()},
             }
 
@@ -495,12 +491,10 @@ class RateRunConfig:
     fold: int = 8
 
     def __post_init__(self):
-        if not 0.0 <= self.attempts < math.inf:
-            raise ValueError("attempt rate must be finite and non-negative")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if self.fold < 1:
-            raise ValueError("fold must be at least 1")
+        if not math.isfinite(self.attempts):
+            raise ValueError("attempt rate must be finite")
+        # The rate function checks the ranges.
+        detection.nfold_rate(self.attempts, self.eta, self.fold)
 
 
 def cmd_rate(args) -> int:

@@ -303,8 +303,6 @@ class FusionResult:
     the pattern's probability.
     """
 
-    input_label: str
-    config: ExperimentConfig
     groups: tuple[Group, ...]
     pattern_probs: dict[tuple[int, ...], float]
     conditional_states: dict[tuple[int, ...], np.ndarray] | None = None
@@ -374,12 +372,11 @@ def run_fusion(fusion_input: BellLabel | str, config: ExperimentConfig) -> Fusio
     probabilities and densities enter with the branch weight times its
     preparation's post-selection probability, normalized over branches.
     """
+    full = fusion_input == FULL_PREPARATION
     if isinstance(fusion_input, BellLabel):
-        label = fusion_input.value
         photon_ids: tuple[int, ...] = (2, 3)
         prepare = partial(_bell_input, fusion_input)
-    elif fusion_input == FULL_PREPARATION:
-        label = FULL_PREPARATION
+    elif full:
         photon_ids = (1, 2, 3, 4)
         prepare = full_preparation
     else:
@@ -404,25 +401,22 @@ def run_fusion(fusion_input: BellLabel | str, config: ExperimentConfig) -> Fusio
         weight /= total
         out = apply_network(state, network)
         order, codes, bounds = _parts(out, groups)
-        codes = codes.tolist()  # Python ints hash faster than numpy scalars
-        fresh = list(itertools.filterfalse(slots.__contains__, codes))
+        # Python ints hash faster than numpy scalars.
+        slot = [slots.setdefault(code, len(slots)) for code in codes.tolist()]
+        fresh = len(slots) - len(probs)
         if fresh:
-            slots.update(zip(fresh, itertools.count(len(slots))))
-            probs = np.concatenate((probs, np.zeros(len(fresh))))
+            probs = np.concatenate((probs, np.zeros(fresh)))
             # -0.0 adds exactly, so a first density keeps its signed zeros.
-            rhos = np.concatenate((rhos, np.full((len(fresh), 4, 4), -0j)))
-        slot = np.fromiter(map(slots.__getitem__, codes), np.intp, len(codes))
+            rhos = np.concatenate((rhos, np.full((fresh, 4, 4), -0j)))
         probs[slot] += weight * np.array(_norms(out, order, bounds))
-        if label == FULL_PREPARATION:
+        if full:
             rhos[slot] += weight * _pair_densities(out, order, bounds,
                                                    PORT_KEEP_A, PORT_KEEP_B)
     patterns = _patterns(np.fromiter(slots, np.int64, len(slots)), len(groups))
     return FusionResult(
-        label,
-        config,
         groups,
         dict(zip(patterns, probs.tolist())),
-        dict(zip(patterns, rhos)) if label == FULL_PREPARATION else None,
+        dict(zip(patterns, rhos)) if full else None,
     )
 
 
@@ -431,7 +425,8 @@ def run_fusion(fusion_input: BellLabel | str, config: ExperimentConfig) -> Fusio
 #
 # The analyzers only read the polarizations on two ports, so a heralded
 # state reduces to one 4x4 density matrix over (pol_x, pol_y), indexed
-# 2 * pol_x + pol_y with H = 0 and V = 1.
+# 2 * pol_x + pol_y with H = 0 and V = 1.  The analyzers take that matrix;
+# :func:`pair_density` is the one way to it from a state.
 # --------------------------------------------------------------------------
 
 
@@ -492,27 +487,25 @@ def pair_density(state: FockState, port_x: int, port_y: int) -> np.ndarray:
 
 
 def pair_projection_prob(
-    state: FockState | np.ndarray,
-    port_x: int,
-    port_y: int,
-    target: Mapping[tuple[str, str], complex],
+    rho: np.ndarray, target: Mapping[tuple[str, str], complex]
 ) -> float:
-    """Probability of projecting onto a two-photon polarization state t,
-    blind to the photons' wave packets: t^dagger rho t / Tr rho, where rho
-    is a :func:`pair_density` matrix or is built from a given state."""
-    rho = pair_density(state, port_x, port_y) if isinstance(state, FockState) else state
+    """Probability of projecting a :func:`pair_density` matrix onto a
+    two-photon polarization state t, blind to the photons' wave packets:
+    t^dagger rho t / Tr rho."""
     t = np.array([target.get((px, py), 0j) for px in (H, V) for py in (H, V)])
     return float((t.conj() @ rho @ t).real) / float(np.trace(rho).real)
 
 
+#: The singlet psi- as a :func:`pair_projection_prob` target.
 SINGLET = {
-    (H, V): 1 / math.sqrt(2) + 0j,
-    (V, H): -1 / math.sqrt(2) + 0j,
+    (px, py): sign / math.sqrt(2) + 0j
+    for px, py, sign in _BELL_TERMS[BellLabel.PSI_MINUS]
 }
 
 
-def singlet_fidelity(state: FockState | np.ndarray, port_x: int, port_y: int) -> float:
-    return pair_projection_prob(state, port_x, port_y, SINGLET)
+def singlet_fidelity(rho: np.ndarray) -> float:
+    """Overlap of a :func:`pair_density` matrix with the singlet."""
+    return pair_projection_prob(rho, SINGLET)
 
 
 #: Pauli X, Y, Z in the (H, V) basis.
@@ -523,12 +516,9 @@ _PAULIS = (
 )
 
 
-def pair_correlations(
-    state: FockState | np.ndarray, port_x: int, port_y: int
-) -> tuple[float, float, float]:
-    """(<XX>, <YY>, <ZZ>) of the two analyzer photons, flavor-blind:
+def pair_correlations(rho: np.ndarray) -> tuple[float, float, float]:
+    """(<XX>, <YY>, <ZZ>) of a :func:`pair_density` matrix, flavor-blind:
     Tr(rho sigma x sigma) / Tr rho."""
-    rho = pair_density(state, port_x, port_y) if isinstance(state, FockState) else state
     trace = float(np.trace(rho).real)
     xx, yy, zz = (float(np.trace(rho @ np.kron(s, s)).real) / trace for s in _PAULIS)
     return xx, yy, zz

@@ -202,8 +202,7 @@ class FockState:
         return self.terms.get(occ, 0j)
 
     def norm_squared(self) -> float:
-        # Python's abs, not numpy's, which rounds differently.
-        return math.fsum(abs(a) ** 2 for a in self.amps.tolist())
+        return _norms(self, np.arange(len(self)), [0, len(self)])[0]
 
     def normalized(self) -> FockState:
         n2 = self.norm_squared()

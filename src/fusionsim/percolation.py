@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -369,14 +370,6 @@ def _trial_values(
     return tuple(values)
 
 
-def _sweep_chunk(args) -> list[tuple[np.ndarray, ...]]:
-    lattice, model, seed, trials, windows, first_step, last_step = args
-    return [
-        _trial_values(lattice, model, seed, t, windows, first_step, last_step)
-        for t in trials
-    ]
-
-
 def sweep_curves(
     lattice: Lattice,
     model: PercModel,
@@ -393,10 +386,11 @@ def sweep_curves(
     One pass per trial yields both observables; each trial is convolved as
     it finishes, so memory is O(trials x grid), and the pass covers only
     the steps from the first to the last that any grid window reads.
-    Trials are keyed by (seed, trial index) and aggregated in index order
-    with compensated sums, so the curves are bit-identical for any worker
-    count.  The worker count is clamped to the trial count and the CPU
-    count.
+    Trials are keyed by (seed, trial index) and go through one ordered
+    map over the indices, in process or in one contiguous chunk per
+    worker; they are aggregated in index order with compensated sums, so
+    the curves are bit-identical for any worker count.  The worker count
+    is clamped to the trial count and the CPU count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -408,21 +402,18 @@ def sweep_curves(
     first_step = min(start for start, _ in windows)
     last_step = max(start + len(weights) - 1 for start, weights in windows)
     workers = max(1, min(workers, trials, os.cpu_count() or 1))
-    chunks = [
-        (lattice, model, seed, range(i, trials, workers), windows, first_step, last_step)
-        for i in range(workers)
-    ]
+    trial = partial(_trial_values, lattice, model, seed, windows=windows,
+                    first_step=first_step, last_step=last_step)
     if workers == 1:
-        partials = list(map(_sweep_chunk, chunks))
+        rows = list(map(trial, range(trials)))
     else:
         # Imported here: the pool module is a measurable part of the
         # package's import time, and serial runs never need it.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_sweep_chunk, chunks))
-    # Chunk i holds trials i, i + workers, ...
-    rows = [partials[t % workers][t // workers] for t in range(trials)]
+            chunksize = math.ceil(trials / workers)
+            rows = list(pool.map(trial, range(trials), chunksize=chunksize))
     curves = {}
     for i, observable in enumerate(OBSERVABLES):
         values = np.array([row[i] for row in rows])

@@ -24,8 +24,6 @@ from fusionsim.experiment import (
     FULL_PREPARATION,
     PORT_ANCILLA_A,
     PORT_FUSE_A,
-    PORT_KEEP_A,
-    PORT_KEEP_B,
     BellLabel,
     ExperimentConfig,
     hom_visibility,
@@ -173,7 +171,7 @@ def test_criterion_5_monotone_degradation_and_heralded_fidelity():
         config = ExperimentConfig(overlap=overlap)
         result = run_fusion(FULL_PREPARATION, config)
         mixture = detection.heralded_mixture(result, table, BellLabel.PSI_MINUS)
-        fidelities.append(singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B))
+        fidelities.append(singlet_fidelity(mixture))
         totals.append(detection.success_probability(config).total_success)
     ok = abs(fidelities[0] - 1.0) < 1e-9
     ok &= all(b <= a + 1e-12 for a, b in zip(fidelities, fidelities[1:]))

@@ -191,6 +191,14 @@ class TestPercolateCommand:
         assert 0.0 < threshold["estimate"] < 1.0
         assert threshold["sizes"] == [8, 12]
 
+    def test_crossings_keyed_by_size_strings(self, tmp_path):
+        """Sizes key the crossings as strings, so the sorted file lists
+        "12" before "8"; int keys would sort as numbers."""
+        out = tmp_path / "run"
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        threshold = json.loads((out / "threshold.json").read_text())
+        assert list(threshold["crossings"]) == ["12", "8"]
+
     def test_same_seed_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(self.ARGS + ["--out", str(out_a)]) == 0
@@ -424,11 +432,13 @@ def hostile(max_int=8):
     )
 
 
-def hostile_configs(cls, **limits):
-    """JSON objects over the fields of ``cls`` with hostile values;
-    ``limits`` caps the integers drawn for a field."""
+def hostile_configs(cls, required=(), **limits):
+    """JSON objects over the fields of ``cls`` with hostile values, always
+    holding the fields named in ``required``; ``limits`` caps the integers
+    drawn for a field."""
+    values = {f.name: hostile(limits.get(f.name, 8)) for f in fields(cls)}
     return st.fixed_dictionaries(
-        {}, optional={f.name: hostile(limits.get(f.name, 8)) for f in fields(cls)}
+        {name: values.pop(name) for name in required}, optional=values
     )
 
 
@@ -439,7 +449,8 @@ def hostile_configs(cls, **limits):
         ("ppnrd", hostile_configs(PPNRDRunConfig), []),
         (
             "percolate",
-            hostile_configs(PercolateRunConfig, trials=3),
+            # A config without a valid trials count runs the default 200.
+            hostile_configs(PercolateRunConfig, required=["trials"], trials=3),
             ["--grid", "0.5:0.9:0.2"],
         ),
     ],

@@ -291,8 +291,8 @@ class TestHeraldedStates:
         result = run_fusion(FULL_PREPARATION, config)
         table = ideal_table(config)
         mixture = heralded_mixture(result, table, BellLabel.PSI_MINUS)
-        fid_direct = singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B)
-        xx, yy, zz = pair_correlations(mixture, PORT_KEEP_A, PORT_KEEP_B)
+        fid_direct = singlet_fidelity(mixture)
+        xx, yy, zz = pair_correlations(mixture)
         fid_pauli = estimate_fidelity_singlet(xx, yy, zz)
         assert abs(fid_direct - 1.0) < 1e-9
         assert abs(fid_pauli - 1.0) < 1e-9
@@ -307,8 +307,6 @@ class TestHeraldedStates:
         first, second = (1, 0, 0, 1), (0, 1, 1, 0)
         config = ExperimentConfig(ancilla_enabled=False)
         result = FusionResult(
-            FULL_PREPARATION,
-            config,
             detection_groups(config),
             {first: 0.1, second: 0.3, (2, 0, 0, 0): 0.6},
             {
@@ -318,7 +316,7 @@ class TestHeraldedStates:
         )
         table = {first: BellLabel.PSI_MINUS, second: BellLabel.PSI_MINUS}
         mixture = heralded_mixture(result, table, BellLabel.PSI_MINUS)
-        fidelity = singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B)
+        fidelity = singlet_fidelity(mixture)
         assert abs(fidelity - 0.25) < 1e-12
 
     def test_requires_full_preparation(self):

@@ -185,12 +185,12 @@ class TestBellPairPreparation:
     def test_ideal_pair_is_phi_plus(self):
         state, prob = prepare_bell_pair(1, 2)
         assert abs(prob - 0.5) < 1e-12
-        assert abs(pair_projection_prob(state, 1, 2, PHI_PLUS_TARGET) - 1.0) < 1e-12
+        assert abs(pair_projection_prob(pair_density(state, 1, 2), PHI_PLUS_TARGET) - 1.0) < 1e-12
 
     def test_distinguishable_pair_fidelity_half(self):
         state, prob = prepare_bell_pair(1, 2, (1, 2))
         assert abs(prob - 0.5) < 1e-12
-        assert abs(pair_projection_prob(state, 1, 2, PHI_PLUS_TARGET) - 0.5) < 1e-12
+        assert abs(pair_projection_prob(pair_density(state, 1, 2), PHI_PLUS_TARGET) - 0.5) < 1e-12
 
     def test_overlap_interpolates_fidelity(self):
         # Wave packets are polarization-correlated after the splitter, so
@@ -198,7 +198,7 @@ class TestBellPairPreparation:
         for overlap in (0.25, 0.5, 0.9):
             rho = bell_pair_density(ExperimentConfig(overlap=overlap))
             assert abs(np.trace(rho) - 0.5) < 1e-12
-            fid = pair_projection_prob(rho, 1, 2, PHI_PLUS_TARGET)
+            fid = pair_projection_prob(rho, PHI_PLUS_TARGET)
             assert abs(fid - (1 + overlap) / 2) < 1e-12
 
 
@@ -583,7 +583,7 @@ class TestFusionRuns:
             if sum(pattern[:4]) != 3:
                 continue
             mixture = result.conditional_states[pattern]
-            assert abs(singlet_fidelity(mixture, PORT_KEEP_A, PORT_KEEP_B) - 1.0) < 1e-9
+            assert abs(singlet_fidelity(mixture) - 1.0) < 1e-9
 
     def test_conditional_weights_sum_to_pattern_probability(self):
         config = ExperimentConfig(overlap=0.94, ancilla_enabled=False)
@@ -746,20 +746,20 @@ class TestAnalyzers:
                 (-1 / SQ2, create_photons([(Mode(1, V), 1), (Mode(4, H), 1)])),
             ]
         )
-        xx, yy, zz = pair_correlations(state, 1, 4)
+        xx, yy, zz = pair_correlations(pair_density(state, 1, 4))
         assert abs(xx + 1) < 1e-12 and abs(yy + 1) < 1e-12 and abs(zz + 1) < 1e-12
-        assert abs(singlet_fidelity(state, 1, 4) - 1.0) < 1e-12
+        assert abs(singlet_fidelity(pair_density(state, 1, 4)) - 1.0) < 1e-12
 
     def test_product_state_correlations(self):
         state = create_photons([(Mode(1, H), 1), (Mode(4, V), 1)])
-        xx, yy, zz = pair_correlations(state, 1, 4)
+        xx, yy, zz = pair_correlations(pair_density(state, 1, 4))
         assert abs(xx) < 1e-12 and abs(yy) < 1e-12 and abs(zz + 1) < 1e-12
-        assert abs(singlet_fidelity(state, 1, 4) - 0.5) < 1e-12
+        assert abs(singlet_fidelity(pair_density(state, 1, 4)) - 0.5) < 1e-12
 
     def test_rejects_multiphoton_ports(self):
         state = create_photons([(Mode(1, H), 2)])
         with pytest.raises(ValueError):
-            pair_correlations(state, 1, 4)
+            pair_correlations(pair_density(state, 1, 4))
 
     def test_flavor_is_traced_out(self):
         """A singlet whose two terms put photon 1 in different wave packets
@@ -769,8 +769,8 @@ class TestAnalyzers:
             vh = create_photons([(Mode(1, V, flavor_vh), 1), (Mode(4, H), 1)])
             return superpose([(1 / SQ2, hv), (-1 / SQ2, vh)])
 
-        assert abs(singlet_fidelity(singlet(0, 1), 1, 4) - 0.5) < 1e-12
-        assert abs(singlet_fidelity(singlet(0, 0), 1, 4) - 1.0) < 1e-12
+        assert abs(singlet_fidelity(pair_density(singlet(0, 1), 1, 4)) - 0.5) < 1e-12
+        assert abs(singlet_fidelity(pair_density(singlet(0, 0), 1, 4)) - 1.0) < 1e-12
 
     def test_rejects_missing_analyzer_photon(self):
         state = create_photons([(Mode(1, H), 1), (Mode(2, V), 1)])

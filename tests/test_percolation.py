@@ -382,7 +382,7 @@ class TestDeterminism:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
         # sweep_curves imports the pool from concurrent.futures when it
