@@ -168,7 +168,12 @@ def _staged_output(out: str, subcommand: str, run_config: dict):
         payload = {"subcommand": subcommand, **run_config}
         _write_json(staging / "run_config.json", payload)
         out_dir.mkdir(exist_ok=True)
-        for path in sorted(staging.iterdir()):
+        files = sorted(staging.iterdir())
+        # A file cannot replace a directory, so refuse before the first move.
+        for path in files:
+            if (out_dir / path.name).is_dir():
+                raise IsADirectoryError(f"{out_dir / path.name} is a directory")
+        for path in files:
             os.replace(path, out_dir / path.name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)

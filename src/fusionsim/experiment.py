@@ -430,10 +430,6 @@ def run_fusion(fusion_input: BellLabel | str, config: ExperimentConfig) -> Fusio
 # --------------------------------------------------------------------------
 
 
-#: :func:`_pair_densities` groups runs by windows of this many rows, to bound memory.
-_DENSITY_ROWS = 1 << 12
-
-
 def _pair_densities(state: FockState, order: np.ndarray, bounds: list[int],
                     port_x: int, port_y: int) -> np.ndarray:
     """:func:`pair_density` of each run of ``state``'s rows in ``order``, run
@@ -449,26 +445,23 @@ def _pair_densities(state: FockState, order: np.ndarray, bounds: list[int],
              for key in dict.fromkeys(merged)]
     probe += [[c for c, m in enumerate(state.modes) if m[:2] == (p, pol)]
               for p in ports for pol in (H, V)]
+    occ = state.occ.take(order, axis=0)
+    # Column sums: numpy's integer matrix product is a plain triple loop.
+    counts = np.zeros((len(probe), len(order)), dtype=np.uint8)
+    for j, cols in enumerate(probe):
+        for c in cols:
+            counts[j] += occ[:, c]
+    for port, h, v in zip(ports, counts[-4::2], counts[-3::2]):
+        if (h + v != 1).any():
+            raise ValueError(f"state is not one photon on analyzer port {port}")
+    group, first = _group(counts[:-4].T)
+    a = np.zeros((len(first), 4), dtype=complex)
+    a[group, 2 * counts[-3] + counts[-1]] = state.amps.take(order)
+    # Groups are numbered by first row: run i's first rows lie in run i.
+    runs = np.searchsorted(first, bounds).tolist()
     rhos = np.empty((len(bounds) - 1, 4, 4), dtype=complex)
-    cuts = np.flatnonzero(np.diff(np.floor_divide(bounds[:-1], _DENSITY_ROWS))) + 1
-    for start, stop in itertools.pairwise([0, *cuts.tolist(), len(rhos)]):
-        rows = order[bounds[start] : bounds[stop]]
-        occ = state.occ.take(rows, axis=0)
-        # Column sums: numpy's integer matrix product is a plain triple loop.
-        counts = np.zeros((len(probe), len(rows)), dtype=np.uint8)
-        for j, cols in enumerate(probe):
-            for c in cols:
-                counts[j] += occ[:, c]
-        for port, h, v in zip(ports, counts[-4::2], counts[-3::2]):
-            if (h + v != 1).any():
-                raise ValueError(f"state is not one photon on analyzer port {port}")
-        group, first = _group(counts[:-4].T)
-        a = np.zeros((len(first), 4), dtype=complex)
-        a[group, 2 * counts[-3] + counts[-1]] = state.amps.take(rows)
-        # Groups are numbered by first row: run i's first rows lie in run i.
-        runs = np.searchsorted(first + bounds[start], bounds[start : stop + 1])
-        for i, (lo, hi) in enumerate(itertools.pairwise(runs.tolist()), start):
-            rhos[i] = a[lo:hi].T @ a[lo:hi].conj()
+    for i, (lo, hi) in enumerate(itertools.pairwise(runs)):
+        rhos[i] = a[lo:hi].T @ a[lo:hi].conj()
     return rhos
 
 

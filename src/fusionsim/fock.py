@@ -11,9 +11,9 @@ partially distinguishable photon (common with some probability, private
 otherwise) is simulated as a classical mixture of states in which each
 photon has one flavor (experiment.flavor_branches).
 
-Rows are grouped one way only, by :func:`_group`, whose exact 64-bit row
-key telescopes to one table lookup per entry and whose numbering takes one
-sort of the keys.  Evolution, :func:`compose` and :func:`superpose` sum
+Rows are grouped one way only, by :func:`_group`, which keys a row exactly
+by its counts packed four bits each into 64-bit words and numbers equal
+keys by sorting them.  Evolution, :func:`compose` and :func:`superpose` sum
 equal rows in the order a term-by-term loop would, with complex products
 rounded as Python rounds them, so results are reproducible to the bit.
 Detectors are flavor-blind: one helper keys each row by an exact int64
@@ -51,7 +51,8 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-#: Largest total photon number a state may hold.
+#: Largest total photon number a state may hold.  _group keys a row by
+#: four bits per count, so counts must stay below 16.
 MAX_PHOTONS = 8
 
 #: Amplitudes below this magnitude are dropped after each element.
@@ -92,26 +93,22 @@ def occupation(counts: Mapping[Mode, int] | Iterable[tuple[Mode, int]]) -> Occup
     return tuple(sorted(merged.items()))
 
 
-#: _ONES[k]: a 64-bit word with bytes 0 .. k - 1 set to 1.
-_ONES = np.array([(256**k - 1) // 255 for k in range(MAX_PHOTONS + 1)], dtype=np.uint64)
-
-
 def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number equal rows in order of first appearance: the group of each
     row, and the index of each group's first row.  ``rows`` holds integer
-    keys, or occupation rows, each keyed exactly by its photons' columns
-    (column + 1, a byte per photon): at most 8 photons in under 255
-    columns fit 64 bits."""
+    keys, or rows of counts below 16, each keyed exactly by packing its
+    counts into 64-bit words of sixteen four-bit fields.  A wider row's
+    words are chained: the numbering of the words so far, times the number
+    of distinct next words, plus the next word's numbering."""
     if rows.ndim == 2:
         width = rows.shape[1]
-        if width >= 255:
-            raise ValueError(f"{width} modes exceed the row key's 254")
-        # With u_c the photons in columns 0..c, column c sets bytes u_{c-1}
-        # .. u_c - 1 to c + 1, so the key is sum_c (c + 1) (ONES[u_c] -
-        # ONES[u_{c-1}]), which telescopes (mod 2^64) to the line below.
-        ones = _ONES[np.cumsum(rows, axis=1, dtype=np.uint8)]
-        last = ones[:, -1] if width else np.uint64(0)
-        rows = (width + 1) * last - ones.sum(axis=1, dtype=np.uint64)
+        padded = np.zeros((len(rows), 16 * max(1, -(-width // 16))), np.uint8)
+        padded[:, :width] = rows
+        words = (padded[:, ::2] | padded[:, 1::2] << 4).view(np.uint64)
+        rows = words[:, 0]
+        for word in words.T[1:]:
+            more, heads = _group(word)
+            rows = _group(rows)[0] * len(heads) + more
     # Sorting puts equal keys in runs; a run's smallest row index is its
     # group's first row, whatever order the sort left ties in.
     order = rows.argsort()

@@ -416,6 +416,21 @@ def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, command, exist
     assert "run_config.json" in {p.name for p in out.iterdir()}
 
 
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+def test_directory_in_place_of_an_output_leaves_out_untouched(tmp_path, command):
+    """A directory named like one of the run's files fails the run before
+    any file is moved: --out keeps its names and bytes, and no staging
+    directory is left."""
+    out = tmp_path / "run"
+    (out / "run_config.json").mkdir(parents=True)
+    (out / "old.txt").write_text("kept")
+    assert main([*QUICK_RUNS[command], "--out", str(out)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+    assert sorted(p.name for p in out.iterdir()) == ["old.txt", "run_config.json"]
+    assert (out / "old.txt").read_text() == "kept"
+    assert list((out / "run_config.json").iterdir()) == []
+
+
 def test_integer_in_float_field_is_accepted(tmp_path):
     out = tmp_path / "run"
     config = write_config(tmp_path, {"attempts": 1000, "eta": 1, "fold": 2})

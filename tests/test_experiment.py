@@ -1,5 +1,6 @@
 """State preparations, the fusion interferometer, and diagnostics."""
 
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsim import experiment
 from fusionsim.experiment import (
     FULL_PREPARATION,
     PORT_ANCILLA_A,
@@ -316,21 +316,17 @@ class TestAccumulationOracle:
 
 class TestPairDensities:
     """_pair_densities over a branch's runs equals pair_density of each
-    partition part, bit for bit, however the runs are batched."""
+    partition part, bit for bit."""
 
     CONFIG = ExperimentConfig(per_photon_overlap=(1.0, 0.9) + (1.0,) * 6)
 
-    @pytest.mark.parametrize("batch_rows", [None, 1, 1000])
-    def test_runs_match_per_part_densities(self, monkeypatch, batch_rows):
-        if batch_rows is not None:
-            monkeypatch.setattr(experiment, "_DENSITY_ROWS", batch_rows)
+    def test_runs_match_per_part_densities(self):
         network = build_fusion_network(self.CONFIG)
         groups = detection_groups(self.CONFIG)
         branches = flavor_branches(range(1, N_PHOTONS + 1), self.CONFIG)
         assert len(branches) == 2
         for _, flavors in branches:
             out = apply_network(full_preparation(flavors)[0], network)
-            assert len(out) > 1000  # so a 1000-row batch ends inside the branch
             order, _, bounds = _parts(out, groups)
             rhos = _pair_densities(out, order, bounds, PORT_KEEP_A, PORT_KEEP_B)
             parts = partition(out, groups)
@@ -342,6 +338,21 @@ class TestPairDensities:
     def test_empty_state_has_zero_density(self):
         rho = pair_density(FockState({}), 1, 4)
         assert rho.tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
+
+
+def test_full_preparation_with_ancillas_below_unit_overlap_keeps_its_bits():
+    """Pins the probabilities (float.hex) and heralded densities (raw
+    bytes), in table order, of a 16-branch full preparation whose largest
+    branch has 11,520 output rows."""
+    config = ExperimentConfig(per_photon_overlap=(1.0, 0.9, 0.9, 1.0, 1.0, 0.9, 1.0, 0.9))
+    assert len(flavor_branches(range(1, N_PHOTONS + 1), config)) == 16
+    result = run_fusion(FULL_PREPARATION, config)
+    probs = "".join(p.hex() for p in result.pattern_probs.values()).encode()
+    rhos = b"".join(rho.tobytes() for rho in result.conditional_states.values())
+    assert hashlib.sha256(probs).hexdigest() == (
+        "3ed8589a96c2ce25ad21e61d665cf01564a5f69a8baf3d4bf686f708e81a0faf")
+    assert hashlib.sha256(rhos).hexdigest() == (
+        "af701fdc0215a294dafd97ffbab4c2bfac2d39f0d08d903dbcd697c147d696dc")
 
 
 def branch_hom_visibility(config: ExperimentConfig) -> float:
