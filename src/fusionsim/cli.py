@@ -8,9 +8,12 @@ Subcommands
     ppnrd       multiplexed-detector click statistics (ppnrd.json)
     rate        n-fold coincidence rate (rate.json)
 
-Every run writes run_config.json with the fully resolved parameters; rerun
-with the same seed (any --threads) and the outputs are byte-identical.  A
-run's files appear in --out together or not at all (see _staged_output).
+Each subcommand's parameters are the fields of one frozen run-config
+dataclass, and a field has one name everywhere: it is the --config key, the
+argparse dest of its flag and the key in run_config.json.  Every run writes
+run_config.json with the fully resolved parameters; rerun with the same seed
+(any --threads) and the outputs are byte-identical.  A run's files appear in
+--out together or not at all (see _staged_output).
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 """
 
@@ -44,19 +47,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_config_file(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return data
-
-
 def _checked(name: str, hint, value):
     """``value`` checked against the field annotation ``hint``.
 
@@ -81,15 +71,28 @@ def _checked(name: str, hint, value):
     return tuple(_checked(name, item, v) for v in value)
 
 
-def _merge_config(cls, file_values: dict, flag_values: dict):
-    """File values first, flags override; unknown keys are rejected and
-    every value is checked against its field's annotation."""
+def _merge_config(cls, args, **parsed):
+    """``cls`` built from the --config file, overridden by every flag given.
+
+    Each flag is read from ``args`` under its field name; ``parsed`` holds
+    the fields of flags whose text is parsed first.  Unknown config keys
+    are rejected and every value is checked against its field's annotation.
+    """
+    merged = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                merged = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(merged, dict):
+            raise ConfigError("config file must hold a JSON object")
     known = {f.name for f in fields(cls)}
-    unknown = set(file_values) - known
+    unknown = set(merged) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    merged.update({k: v for k, v in {**flags, **parsed}.items() if v is not None})
     hints = get_type_hints(cls)
     checked = {k: _checked(k, hints[k], v) for k, v in merged.items()}
     try:
@@ -154,20 +157,23 @@ def _write_table(
 def _staged_output(out: str, subcommand: str, run_config: dict):
     """Directory for a run's files, moved into ``out`` once all are written.
 
-    The block writes into a temporary directory next to ``out``; after it
-    completes, run_config.json is added and every file is moved into
-    ``out`` (created if missing).  If anything fails first, the temporary
-    directory is removed and ``out`` is left as it was.
+    The block writes into a temporary directory made in the nearest
+    directory that exists: ``out`` itself, or else its closest existing
+    parent.  After the block completes, run_config.json is added, ``out``
+    (and any missing parent) is created and every file is moved into it.
+    If anything fails first, the temporary directory is removed and no
+    directory is created, so ``out`` is left as it was.
     """
     out_dir = Path(out)
-    parent = out_dir.absolute().parent
-    parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".fusionsim-", dir=parent))
+    base = out_dir.absolute()
+    while not base.exists():
+        base = base.parent
+    staging = Path(tempfile.mkdtemp(prefix=".fusionsim-", dir=base))
     try:
         yield staging
         payload = {"subcommand": subcommand, **run_config}
         _write_json(staging / "run_config.json", payload)
-        out_dir.mkdir(exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         files = sorted(staging.iterdir())
         # A file cannot replace a directory, so refuse before the first move.
         for path in files:
@@ -208,16 +214,10 @@ class FusionRunConfig:
 
 
 def cmd_fusion(args) -> int:
-    flag_values = {
-        "visibility": args.visibility,
-        "ancilla": False if args.no_ancilla else None,
-        "phase": args.phase,
-        "seed": args.seed,
-    }
-    cfg = _merge_config(FusionRunConfig, _load_config_file(args.config), flag_values)
-
+    cfg = _merge_config(FusionRunConfig, args)
+    stats = detection.success_probability(cfg.experiment())
     ppnrd = detection.PPNRDConfig(cfg.ppnrd_fanout, cfg.ppnrd_efficiency)
-    stats = detection.success_probability(cfg.experiment(), ppnrd)
+    factors = detection.normalization_factors(stats.table, ppnrd)
 
     rows = []
     for label in BellLabel:
@@ -232,7 +232,7 @@ def cmd_fusion(args) -> int:
             )
     factor_rows = [
         ("|" + "".join(str(n) for n in pattern) + "|", float(factor))
-        for pattern, factor in sorted(stats.factors.items())
+        for pattern, factor in sorted(factors.items())
     ]
     tables = (
         ("outcomes", "outcomes v1", ("outcome", "probability", "stderr"), rows),
@@ -273,13 +273,8 @@ class SweepRunConfig:
 
 
 def cmd_sweep(args) -> int:
-    flag_values = {
-        "kind": args.kind,
-        "grid": None if args.grid is None else tuple(_parse_grid(args.grid)),
-        "visibility": args.visibility,
-        "seed": args.seed,
-    }
-    cfg = _merge_config(SweepRunConfig, _load_config_file(args.config), flag_values)
+    grid = None if args.grid is None else tuple(_parse_grid(args.grid))
+    cfg = _merge_config(SweepRunConfig, args, grid=grid)
 
     if cfg.kind == "phase":
         grid = cfg.grid or tuple(float(x) for x in np.linspace(0.0, 2.2 * math.pi, 23))
@@ -387,24 +382,17 @@ def _curve_rows(curves: dict[int, percolation.SweepCurve]):
 
 
 def cmd_percolate(args) -> int:
-    flag_values = {
-        "sizes": None if args.sizes is None else _parse_sizes(args.sizes),
-        "mode": args.mode,
-        "boundary": args.boundary,
-        "trials": args.trials,
-        "seed": args.seed,
-        "threads": args.threads,
-    }
+    sizes = None if args.sizes is None else _parse_sizes(args.sizes)
+    grid = {}
     if args.grid is not None:
         parts = args.grid.split(":")
         if len(parts) != 3:
             raise ConfigError("percolate --grid wants start:stop:step")
         try:
-            p_start, p_stop, p_step = map(float, parts)
+            grid = dict(zip(("p_start", "p_stop", "p_step"), map(float, parts)))
         except ValueError as exc:
             raise ConfigError(f"bad grid {args.grid!r}: {exc}") from exc
-        flag_values.update(p_start=p_start, p_stop=p_stop, p_step=p_step)
-    cfg = _merge_config(PercolateRunConfig, _load_config_file(args.config), flag_values)
+    cfg = _merge_config(PercolateRunConfig, args, sizes=sizes, **grid)
     sweeps = percolation.size_sweeps(
         cfg.sizes,
         cfg.trials,
@@ -471,8 +459,7 @@ class PPNRDRunConfig:
 
 
 def cmd_ppnrd(args) -> int:
-    flag_values = {"photons": args.photons, "fanout": args.fanout, "eta_det": args.eta_det}
-    cfg = _merge_config(PPNRDRunConfig, _load_config_file(args.config), flag_values)
+    cfg = _merge_config(PPNRDRunConfig, args)
     ppnrd = detection.PPNRDConfig(cfg.fanout, cfg.eta_det)
     clicks = detection.ppnrd_response(cfg.photons, ppnrd)
     payload = {
@@ -503,8 +490,7 @@ class RateRunConfig:
 
 
 def cmd_rate(args) -> int:
-    flag_values = {"attempts": args.attempts, "eta": args.eta, "fold": args.fold}
-    cfg = _merge_config(RateRunConfig, _load_config_file(args.config), flag_values)
+    cfg = _merge_config(RateRunConfig, args)
     rate = detection.nfold_rate(cfg.attempts, cfg.eta, cfg.fold)
     payload = {
         "attempts_per_second": cfg.attempts,
@@ -543,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fusion", help="exact fusion-gate statistics")
     common(p)
     p.add_argument("--visibility", type=float, help="pairwise photon overlap")
-    p.add_argument("--no-ancilla", action="store_true", help="conventional gate only")
+    p.add_argument("--no-ancilla", dest="ancilla", action="store_false", default=None,
+                   help="conventional gate only")
     p.add_argument("--phase", type=float, help="H/V phase on the port-2 arm")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_fusion)

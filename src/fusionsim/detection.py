@@ -127,20 +127,19 @@ class OutcomeStats:
     per_input_success[B] is the probability that input B produces a
     pattern heralding B; outcome_probs weights the four inputs uniformly
     (the reduced state of two fused pair halves), with None collecting the
-    failures.  Normalization factors cover every pattern in the table.
-    results holds the fusion run of each Bell input behind these numbers.
+    failures.  table is the discrimination table the patterns were routed
+    by, and results holds the fusion run of each Bell input behind these
+    numbers.
     """
 
     per_input_success: dict[BellLabel, float]
     outcome_probs: dict[Optional[BellLabel], float]
     total_success: float
-    factors: dict[Pattern, float]
+    table: dict[Pattern, Optional[BellLabel]]
     results: dict[BellLabel, FusionResult]
 
 
-def success_probability(
-    config: ExperimentConfig, ppnrd: PPNRDConfig | None = None
-) -> OutcomeStats:
+def success_probability(config: ExperimentConfig) -> OutcomeStats:
     """Per-input and mixture-averaged Bell discrimination probabilities."""
     table = ideal_table(config)
     per_input: dict[BellLabel, float] = {}
@@ -154,8 +153,7 @@ def success_probability(
         for outcome, prob in routed.items():
             outcome_probs[outcome] += 0.25 * prob
     total = math.fsum(prob for out, prob in outcome_probs.items() if out is not None)
-    factors = normalization_factors(table, ppnrd or PPNRDConfig())
-    return OutcomeStats(per_input, outcome_probs, total, factors, results)
+    return OutcomeStats(per_input, outcome_probs, total, table, results)
 
 
 # --------------------------------------------------------------------------

@@ -20,10 +20,10 @@ Detectors are flavor-blind: one helper keys each row by an exact int64
 pattern code, whose base-(MAX_PHOTONS + 1) digits are the photons each
 detection group sees (a sum of occupation columns), and orders the rows by
 part.  :func:`partition` slices that order into states and
-:func:`pattern_distribution` into squared norms, squaring each distinct
-magnitude once; experiment.run_fusion reads its table and heralded
-densities off the same order.  Counting uses integer arithmetic only, so
-no path calls BLAS, whose threads spin on small float products.
+:func:`pattern_distribution` into squared norms, each square rounded
+as Python's ``** 2`` rounds it; experiment.run_fusion reads its table and
+heralded densities off the same order.  Counting uses integer arithmetic
+only, so no path calls BLAS, whose threads spin on small float products.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -515,12 +515,11 @@ def _patterns(codes: np.ndarray, width: int) -> list[Pattern]:
 
 def _norms(state: FockState, order: np.ndarray, bounds: list[int]) -> list[float]:
     """Squared norms of the runs of ``state``'s rows in ``order``."""
-    # Python's abs(a) ** 2: np.hypot is abs bit for bit, but a vectorized
-    # square rounds differently from Python's ** 2.  Magnitudes repeat
-    # heavily, so each distinct one is squared once and scattered back.
+    # Python's abs(a) ** 2: np.hypot is abs bit for bit, and float_power
+    # calls the C pow that Python's ** calls, where np.square and
+    # np.power(h, 2.0) round differently from it.
     magnitudes = np.hypot(state.amps.real, state.amps.imag)
-    distinct, index = np.unique(magnitudes, return_inverse=True)
-    squares = np.array([h ** 2 for h in distinct.tolist()])[index[order]].tolist()
+    squares = np.float_power(magnitudes[order], 2.0).tolist()
     return [math.fsum(squares[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 

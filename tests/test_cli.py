@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from fusionsim import cli, detection, experiment
 from fusionsim.cli import (
+    FusionRunConfig,
     PercolateRunConfig,
     PPNRDRunConfig,
     RateRunConfig,
+    SweepRunConfig,
     main,
 )
 
@@ -384,12 +386,13 @@ def test_threads_below_one_exits_2(tmp_path, command, threads):
 
 
 @pytest.mark.parametrize("command", sorted(QUICK_RUNS))
-@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("existing", [False, True, "nested"])
 def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, command, existing):
     """A run whose second file write fails exits 1 and leaves --out as it
-    was (absent, or holding its earlier files) and no staging directory."""
-    out = tmp_path / "run"
-    if existing:
+    was (absent, or holding its earlier files), no staging directory and,
+    for a nested --out, none of its missing parents."""
+    out = tmp_path / "a" / "b" / "run" if existing == "nested" else tmp_path / "run"
+    if existing is True:
         out.mkdir()
         (out / "old.txt").write_text("kept")
     before = sorted(p.name for p in tmp_path.iterdir())
@@ -407,13 +410,82 @@ def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, command, exist
     assert main([*QUICK_RUNS[command], "--out", str(out)]) == 1
     assert len(writes) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == before
-    if existing:
+    if existing is True:
         assert [p.name for p in out.iterdir()] == ["old.txt"]
 
     monkeypatch.undo()
     assert main([*QUICK_RUNS[command], "--out", str(out)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(before) | {"run"})
+    top = out.relative_to(tmp_path).parts[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(before) | {top})
     assert "run_config.json" in {p.name for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+def test_default_out_stages_inside_the_working_directory(tmp_path, monkeypatch, command):
+    """With the default --out ".", the run stages inside "." and never
+    touches its parent, which may not be writable."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    staged_in = []
+    real_mkdtemp = cli.tempfile.mkdtemp
+
+    def spying_mkdtemp(*args, **kwargs):
+        staged_in.append(Path(kwargs["dir"]))
+        return real_mkdtemp(*args, **kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "mkdtemp", spying_mkdtemp)
+    assert main(QUICK_RUNS[command]) == 0
+    assert staged_in == [work]
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert "run_config.json" in {p.name for p in work.iterdir()}
+    assert not list(work.glob(".fusionsim-*"))
+
+
+#: Every flag of each subcommand set to a non-default value, with the
+#: run-config class and the run_config.json entries the flags must reach.
+EVERY_FLAG = {
+    "fusion": (
+        FusionRunConfig,
+        ["--visibility", "0.99", "--no-ancilla", "--phase", "0.1", "--seed", "5"],
+        {"visibility": 0.99, "ancilla": False, "phase": 0.1, "seed": 5},
+    ),
+    "sweep": (
+        SweepRunConfig,
+        ["--kind", "visibility", "--grid", "1", "--visibility", "0.99", "--seed", "2"],
+        {"kind": "visibility", "grid": [1.0], "visibility": 0.99, "seed": 2},
+    ),
+    "percolate": (
+        PercolateRunConfig,
+        ["--sizes", "4,6", "--mode", "bond", "--boundary", "periodic",
+         "--trials", "2", "--grid", "0.4:0.8:0.2", "--seed", "3", "--threads", "2"],
+        {"sizes": [4, 6], "mode": "bond", "boundary": "periodic", "trials": 2,
+         "p_start": 0.4, "p_stop": 0.8, "p_step": 0.2, "seed": 3, "threads": 2},
+    ),
+    "ppnrd": (
+        PPNRDRunConfig,
+        ["--n", "3", "--k", "5", "--eta-det", "0.5"],
+        {"photons": 3, "fanout": 5, "eta_det": 0.5},
+    ),
+    "rate": (
+        RateRunConfig,
+        ["--attempts", "1e6", "--eta", "0.5", "--fold", "3"],
+        {"attempts": 1e6, "eta": 0.5, "fold": 3},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+def test_every_flag_reaches_its_field(tmp_path, command):
+    """A flag that parsed but never reached its field would leave the
+    field's default in run_config.json."""
+    cls, flags, expected = EVERY_FLAG[command]
+    defaults = {f.name: f.default for f in fields(cls)}
+    assert all(expected[name] != defaults[name] for name in expected)
+    out = tmp_path / "run"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    recorded = json.loads((out / "run_config.json").read_text())
+    assert {name: recorded[name] for name in expected} == expected
 
 
 @pytest.mark.parametrize("command", sorted(QUICK_RUNS))
