@@ -159,16 +159,20 @@ def _staged_output(out: str, subcommand: str, run_config: dict):
 
     The block writes into a temporary directory made in the nearest
     directory that exists: ``out`` itself, or else its closest existing
-    parent.  After the block completes, run_config.json is added, ``out``
-    (and any missing parent) is created and every file is moved into it.
-    If anything fails first, the temporary directory is removed and no
-    directory is created, so ``out`` is left as it was.
+    parent.  Commands enter it before their work, so an ``out`` that is,
+    or lies under, something other than a directory fails at once, with a
+    message naming ``out``.  After the block completes, run_config.json is
+    added, ``out`` (and any missing parent) is created and every file is
+    moved into it.  If anything fails first, the temporary directory is
+    removed and no directory is created, so ``out`` is left as it was.
     """
     out_dir = Path(out)
-    base = out_dir.absolute()
+    base = out_dir
     while not base.exists():
         base = base.parent
-    staging = Path(tempfile.mkdtemp(prefix=".fusionsim-", dir=base))
+    if not base.is_dir():
+        raise NotADirectoryError(f"--out {out}: {base} is not a directory")
+    staging = Path(tempfile.mkdtemp(prefix=".fusionsim-", dir=base.absolute()))
     try:
         yield staging
         payload = {"subcommand": subcommand, **run_config}
@@ -215,31 +219,31 @@ class FusionRunConfig:
 
 def cmd_fusion(args) -> int:
     cfg = _merge_config(FusionRunConfig, args)
-    stats = detection.success_probability(cfg.experiment())
-    ppnrd = detection.PPNRDConfig(cfg.ppnrd_fanout, cfg.ppnrd_efficiency)
-    factors = detection.normalization_factors(stats.table, ppnrd)
-
-    rows = []
-    for label in BellLabel:
-        rows.append((label.value, float(stats.outcome_probs[label]), 0.0))
-    rows.append(("fail", float(stats.outcome_probs[None]), 0.0))
-    rows.append(("total_success", float(stats.total_success), 0.0))
-    pattern_rows = []
-    for label in BellLabel:
-        for pattern, prob in sorted(stats.results[label].pattern_probs.items()):
-            pattern_rows.append(
-                (label.value, "|" + "".join(str(n) for n in pattern) + "|", float(prob))
-            )
-    factor_rows = [
-        ("|" + "".join(str(n) for n in pattern) + "|", float(factor))
-        for pattern, factor in sorted(factors.items())
-    ]
-    tables = (
-        ("outcomes", "outcomes v1", ("outcome", "probability", "stderr"), rows),
-        ("patterns", "patterns v1", ("input", "pattern", "probability"), pattern_rows),
-        ("factors", "normalization-factors v1", ("pattern", "factor"), factor_rows),
-    )
     with _staged_output(args.out, "fusion", asdict(cfg)) as staging:
+        stats = detection.success_probability(cfg.experiment())
+        ppnrd = detection.PPNRDConfig(cfg.ppnrd_fanout, cfg.ppnrd_efficiency)
+        factors = detection.normalization_factors(stats.table, ppnrd)
+
+        rows = []
+        for label in BellLabel:
+            rows.append((label.value, float(stats.outcome_probs[label]), 0.0))
+        rows.append(("fail", float(stats.outcome_probs[None]), 0.0))
+        rows.append(("total_success", float(stats.total_success), 0.0))
+        pattern_rows = []
+        for label in BellLabel:
+            for pattern, prob in sorted(stats.results[label].pattern_probs.items()):
+                pattern_rows.append(
+                    (label.value, "|" + "".join(str(n) for n in pattern) + "|", float(prob))
+                )
+        factor_rows = [
+            ("|" + "".join(str(n) for n in pattern) + "|", float(factor))
+            for pattern, factor in sorted(factors.items())
+        ]
+        tables = (
+            ("outcomes", "outcomes v1", ("outcome", "probability", "stderr"), rows),
+            ("patterns", "patterns v1", ("input", "pattern", "probability"), pattern_rows),
+            ("factors", "normalization-factors v1", ("pattern", "factor"), factor_rows),
+        )
         for stem, schema, header, table in tables:
             _write_table(staging, stem, schema, header, table, args.format)
     print(f"fusion: total success {stats.total_success:.6f} -> {Path(args.out)}")
@@ -275,41 +279,42 @@ class SweepRunConfig:
 def cmd_sweep(args) -> int:
     grid = None if args.grid is None else tuple(_parse_grid(args.grid))
     cfg = _merge_config(SweepRunConfig, args, grid=grid)
+    defaults = {
+        "phase": tuple(float(x) for x in np.linspace(0.0, 2.2 * math.pi, 23)),
+        "visibility": (1.0, 0.98, 0.96, 0.94, 0.92, 0.90),
+    }
+    grid = cfg.grid or defaults[cfg.kind]
 
-    if cfg.kind == "phase":
-        grid = cfg.grid or tuple(float(x) for x in np.linspace(0.0, 2.2 * math.pi, 23))
-        points = experiment.phase_sweep(
-            grid, ExperimentConfig(overlap=cfg.visibility, ancilla_enabled=False)
-        )
-        schema = "phase-sweep v1"
-        header: tuple[str, ...] = ("phase", "pp", "pm", "mp", "mm")
-        rows = [
-            (
-                float(pt.phase),
-                float(pt.coincidences["++"]),
-                float(pt.coincidences["+-"]),
-                float(pt.coincidences["-+"]),
-                float(pt.coincidences["--"]),
+    with _staged_output(args.out, "sweep", {**asdict(cfg), "grid": list(grid)}) as staging:
+        if cfg.kind == "phase":
+            points = experiment.phase_sweep(
+                grid, ExperimentConfig(overlap=cfg.visibility, ancilla_enabled=False)
             )
-            for pt in points
-        ]
-    else:
-        grid = cfg.grid or (1.0, 0.98, 0.96, 0.94, 0.92, 0.90)
-        schema = "visibility-sweep v1"
-        header = ("overlap", "hom_visibility", "total_success")
-        rows = []
-        for overlap in grid:
-            stats = detection.success_probability(ExperimentConfig(overlap=overlap))
-            rows.append(
+            schema = "phase-sweep v1"
+            header: tuple[str, ...] = ("phase", "pp", "pm", "mp", "mm")
+            rows = [
                 (
-                    float(overlap),
-                    float(experiment.hom_visibility(overlap)),
-                    float(stats.total_success),
+                    float(pt.phase),
+                    float(pt.coincidences["++"]),
+                    float(pt.coincidences["+-"]),
+                    float(pt.coincidences["-+"]),
+                    float(pt.coincidences["--"]),
                 )
-            )
-
-    run_config = {**asdict(cfg), "grid": list(grid)}
-    with _staged_output(args.out, "sweep", run_config) as staging:
+                for pt in points
+            ]
+        else:
+            schema = "visibility-sweep v1"
+            header = ("overlap", "hom_visibility", "total_success")
+            rows = []
+            for overlap in grid:
+                stats = detection.success_probability(ExperimentConfig(overlap=overlap))
+                rows.append(
+                    (
+                        float(overlap),
+                        float(experiment.hom_visibility(overlap)),
+                        float(stats.total_success),
+                    )
+                )
         _write_table(staging, "sweep", schema, header, rows, args.format)
     print(f"sweep ({cfg.kind}): {len(grid)} points -> {Path(args.out)}")
     return 0
@@ -393,42 +398,42 @@ def cmd_percolate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad grid {args.grid!r}: {exc}") from exc
     cfg = _merge_config(PercolateRunConfig, args, sizes=sizes, **grid)
-    sweeps = percolation.size_sweeps(
-        cfg.sizes,
-        cfg.trials,
-        cfg.grid(),
-        cfg.seed,
-        mode=cfg.mode,
-        boundary=cfg.boundary,
-        workers=cfg.threads,
-    )
-    fraction_curves = {L: curves["fraction"] for L, curves in sweeps.items()}
-    spanning_curves = {L: curves["spanning"] for L, curves in sweeps.items()}
-
-    threshold_payload: dict = {
-        "estimate": None,
-        "method": "unavailable (need at least two sizes)",
-        "sizes": list(cfg.sizes),
-    }
-    if len(cfg.sizes) >= 2:
-        try:
-            estimate = percolation.estimate_threshold(list(spanning_curves.values()))
-        except percolation.NoCrossingError as exc:
-            threshold_payload["method"] = f"unavailable (spanning {exc})"
-        else:
-            threshold_payload = {
-                **asdict(estimate),
-                "observable": "spanning",
-                # String keys: json sorts int keys as ints (8 before 12).
-                "crossings": {str(k): v for k, v in estimate.crossings.items()},
-            }
-
-    header = ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed")
-    tables = (
-        ("curves", "largest-cluster v1", fraction_curves),
-        ("spanning", "spanning-probability v1", spanning_curves),
-    )
     with _staged_output(args.out, "percolate", asdict(cfg)) as staging:
+        sweeps = percolation.size_sweeps(
+            cfg.sizes,
+            cfg.trials,
+            cfg.grid(),
+            cfg.seed,
+            mode=cfg.mode,
+            boundary=cfg.boundary,
+            workers=cfg.threads,
+        )
+        fraction_curves = {L: curves["fraction"] for L, curves in sweeps.items()}
+        spanning_curves = {L: curves["spanning"] for L, curves in sweeps.items()}
+
+        threshold_payload: dict = {
+            "estimate": None,
+            "method": "unavailable (need at least two sizes)",
+            "sizes": list(cfg.sizes),
+        }
+        if len(cfg.sizes) >= 2:
+            try:
+                estimate = percolation.estimate_threshold(list(spanning_curves.values()))
+            except percolation.NoCrossingError as exc:
+                threshold_payload["method"] = f"unavailable (spanning {exc})"
+            else:
+                threshold_payload = {
+                    **asdict(estimate),
+                    "observable": "spanning",
+                    # String keys: json sorts int keys as ints (8 before 12).
+                    "crossings": {str(k): v for k, v in estimate.crossings.items()},
+                }
+
+        header = ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed")
+        tables = (
+            ("curves", "largest-cluster v1", fraction_curves),
+            ("spanning", "spanning-probability v1", spanning_curves),
+        )
         for stem, schema, curves in tables:
             rows = _curve_rows(curves)
             _write_table(staging, stem, schema, header, rows, args.format)
@@ -460,16 +465,16 @@ class PPNRDRunConfig:
 
 def cmd_ppnrd(args) -> int:
     cfg = _merge_config(PPNRDRunConfig, args)
-    ppnrd = detection.PPNRDConfig(cfg.fanout, cfg.eta_det)
-    clicks = detection.ppnrd_response(cfg.photons, ppnrd)
-    payload = {
-        "photons": cfg.photons,
-        "fanout": cfg.fanout,
-        "eta_det": cfg.eta_det,
-        "click_distribution": clicks,
-        "resolve_probability": detection.resolve_probability(cfg.photons, ppnrd),
-    }
     with _staged_output(args.out, "ppnrd", asdict(cfg)) as staging:
+        ppnrd = detection.PPNRDConfig(cfg.fanout, cfg.eta_det)
+        clicks = detection.ppnrd_response(cfg.photons, ppnrd)
+        payload = {
+            "photons": cfg.photons,
+            "fanout": cfg.fanout,
+            "eta_det": cfg.eta_det,
+            "click_distribution": clicks,
+            "resolve_probability": detection.resolve_probability(cfg.photons, ppnrd),
+        }
         _write_json(staging / "ppnrd.json", payload)
     resolve = payload["resolve_probability"]
     print(f"ppnrd: resolve probability {resolve} -> {Path(args.out)}")
@@ -491,14 +496,14 @@ class RateRunConfig:
 
 def cmd_rate(args) -> int:
     cfg = _merge_config(RateRunConfig, args)
-    rate = detection.nfold_rate(cfg.attempts, cfg.eta, cfg.fold)
-    payload = {
-        "attempts_per_second": cfg.attempts,
-        "eta": cfg.eta,
-        "fold": cfg.fold,
-        "rate_hz": rate,
-    }
     with _staged_output(args.out, "rate", asdict(cfg)) as staging:
+        rate = detection.nfold_rate(cfg.attempts, cfg.eta, cfg.fold)
+        payload = {
+            "attempts_per_second": cfg.attempts,
+            "eta": cfg.eta,
+            "fold": cfg.fold,
+            "rate_hz": rate,
+        }
         _write_json(staging / "rate.json", payload)
     print(f"rate: {rate} Hz -> {Path(args.out)}")
     return 0

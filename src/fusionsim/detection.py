@@ -79,10 +79,10 @@ def derive_discrimination_table(
 def ideal_table(config: ExperimentConfig) -> dict[Pattern, Optional[BellLabel]]:
     """Discrimination table for the configured topology at perfect overlap."""
     ideal_config = replace(config, overlap=1.0, phase=0.0, per_photon_overlap=None)
-    distributions = {
-        label: run_fusion(label, ideal_config).pattern_probs for label in BellLabel
-    }
-    return derive_discrimination_table(distributions)
+    results = run_fusion(tuple(BellLabel), ideal_config)
+    return derive_discrimination_table(
+        {label: result.pattern_probs for label, result in zip(BellLabel, results)}
+    )
 
 
 def classify_distribution(
@@ -143,11 +143,10 @@ def success_probability(config: ExperimentConfig) -> OutcomeStats:
     """Per-input and mixture-averaged Bell discrimination probabilities."""
     table = ideal_table(config)
     per_input: dict[BellLabel, float] = {}
-    results: dict[BellLabel, FusionResult] = {}
+    results = dict(zip(BellLabel, run_fusion(tuple(BellLabel), config)))
     outcome_probs: dict[Optional[BellLabel], float] = {label: 0.0 for label in BellLabel}
     outcome_probs[None] = 0.0
-    for label in BellLabel:
-        result = results[label] = run_fusion(label, config)
+    for label, result in results.items():
         routed = classify_distribution(result.pattern_probs, table)
         per_input[label] = routed[label]
         for outcome, prob in routed.items():

@@ -46,6 +46,7 @@ from .fock import (
     PhaseShift,
     PolarizingBeamSplitter,
     apply_network,
+    apply_op,
     compose,
     create_photons,
     pattern_distribution,
@@ -172,6 +173,13 @@ def single_photon(
 _PLUS = {H: 1 / math.sqrt(2), V: 1 / math.sqrt(2)}
 
 
+def _read_only(state: FockState) -> FockState:
+    """``state`` with its arrays locked, so a memoized result stays as made."""
+    state.occ.flags.writeable = state.amps.flags.writeable = False
+    return state
+
+
+@lru_cache(maxsize=256)
 def bell_state(
     port_x: int,
     port_y: int,
@@ -183,11 +191,12 @@ def bell_state(
 
     Each photon keeps its own wave packet regardless of polarization; the
     polarization-correlated wave packets of the physical preparation are
-    produced by :func:`prepare_bell_pair` instead.
+    produced by :func:`prepare_bell_pair` instead.  Memoized, so the
+    returned arrays are read-only.
     """
     if port_x == port_y:
         raise ValueError("Bell state needs two distinct ports")
-    return superpose(
+    return _read_only(superpose(
         (
             sign / math.sqrt(2),
             create_photons(
@@ -195,13 +204,7 @@ def bell_state(
             ),
         )
         for pol_x, pol_y, sign in _BELL_TERMS[label]
-    )
-
-
-def _read_only(state: FockState) -> FockState:
-    """``state`` with its arrays locked, so a memoized result stays as made."""
-    state.occ.flags.writeable = state.amps.flags.writeable = False
-    return state
+    ))
 
 
 @lru_cache(maxsize=64)
@@ -360,64 +363,134 @@ def _bell_input(
     return compose(*states), 1.0
 
 
-def run_fusion(fusion_input: BellLabel | str, config: ExperimentConfig) -> FusionResult:
-    """Evolve a fusion input through the interferometer exactly.
-
-    ``fusion_input`` is either a :class:`BellLabel` (that Bell state is
-    placed directly on the fused ports, ancillas prepared physically) or
-    ``FULL_PREPARATION`` (both Bell pairs are built from photons 1-4, and a
-    heralded analyzer state per pattern is returned with the distribution).
-
-    Each branch of :func:`flavor_branches` is evolved on its own; its
-    probabilities and densities enter with the branch weight times its
-    preparation's post-selection probability, normalized over branches.
-    """
-    full = fusion_input == FULL_PREPARATION
+def _prepared(fusion_input: BellLabel | str, config: ExperimentConfig) -> list:
+    """(weight, state) per branch of :func:`flavor_branches` for one input:
+    the branch weight times its preparation's post-selection probability,
+    normalized over branches."""
     if isinstance(fusion_input, BellLabel):
         photon_ids: tuple[int, ...] = (2, 3)
         prepare = partial(_bell_input, fusion_input)
-    elif full:
+    elif fusion_input == FULL_PREPARATION:
         photon_ids = (1, 2, 3, 4)
         prepare = full_preparation
     else:
         raise ValueError(f"unknown fusion input {fusion_input!r}")
     if config.ancilla_enabled:
         photon_ids += ANCILLA_PHOTONS
-
     prepared = []
     for weight, flavors in flavor_branches(photon_ids, config):
         state, prob = prepare(flavors, config.ancilla_enabled)
         prepared.append((weight * prob, state))
     total = math.fsum(weight for weight, _ in prepared)
+    return [(weight / total, state) for weight, state in prepared]
 
+
+def _bundles(members) -> list[tuple[list, list[FockState]]]:
+    """The (tag, state) pairs ``members`` as bundles (tags, states): each
+    state cut to its nonzero amplitudes, and states on equal modes and rows
+    grouped onto one shared ``occ`` array, in order of first member."""
+    # Members of one apply_op call share their occ array, so each support
+    # of an array is cut once; cuts of different arrays are compared whole.
+    cuts: dict[tuple[int, bytes], list] = {}
+    for tag, state in members:
+        live = state.amps != 0
+        cuts.setdefault((id(state.occ), live.tobytes()), []).append((tag, state, live))
+    bundles: list[tuple[list, list[FockState]]] = []
+    for cut in cuts.values():
+        _, lead, live = cut[0]
+        occ = lead.occ if live.all() else lead.occ[live]
+        for tags, states in bundles:
+            if states[0].modes == lead.modes and np.array_equal(states[0].occ, occ):
+                occ = states[0].occ
+                break
+        else:
+            tags, states = [], []
+            bundles.append((tags, states))
+        for tag, state, live in cut:
+            tags.append(tag)
+            states.append(FockState._of(state.modes, occ, state.amps[live]))
+    return bundles
+
+
+def _evolved(bundles: list[tuple[list, list[FockState]]], op: ElementaryOp):
+    """``bundles`` after the element ``op``: each evolved as one bundle by
+    fock.apply_op, then split again by the members' supports."""
+    return [new for tags, states in bundles
+            for new in _bundles(zip(tags, apply_op(tuple(states), op)))]
+
+
+class _Tally:
+    """One input's weighted sums: a probability per pattern code, and for a
+    full preparation a heralded density, in slots numbered by the codes'
+    first appearance."""
+
+    def __init__(self, full: bool):
+        self.full = full
+        self.codes = np.zeros(0, np.int64)
+        self.probs = np.zeros(0)
+        self.rhos = np.zeros((0, 4, 4), dtype=complex)
+
+    def add(self, weight: float, state: FockState, order, codes, bounds) -> None:
+        """Add ``weight`` times the parts of ``state`` that fock._parts
+        found (``order``, ``codes``, ``bounds``; the codes are distinct)."""
+        # The slot codes lead and are distinct, so _group numbers them by
+        # slot and numbers new codes after them in order of appearance.
+        seen = np.concatenate((self.codes, codes))
+        group, first = _group(seen)
+        slot = group[len(self.codes):]
+        self.codes = seen[first]
+        fresh = len(first) - len(self.probs)
+        self.probs = np.concatenate((self.probs, np.zeros(fresh)))
+        self.probs[slot] += weight * np.array(_norms(state, order, bounds))
+        if self.full:
+            # -0.0 adds exactly, so a first density keeps its signed zeros.
+            self.rhos = np.concatenate((self.rhos, np.full((fresh, 4, 4), -0j)))
+            self.rhos[slot] += weight * _pair_densities(state, order, bounds,
+                                                        PORT_KEEP_A, PORT_KEEP_B)
+
+    def result(self, groups: tuple[Group, ...]) -> FusionResult:
+        patterns = _patterns(self.codes, len(groups))
+        return FusionResult(
+            groups,
+            dict(zip(patterns, self.probs.tolist())),
+            dict(zip(patterns, self.rhos)) if self.full else None,
+        )
+
+
+def run_fusion(
+    fusion_input: BellLabel | str | tuple[BellLabel | str, ...], config: ExperimentConfig
+) -> FusionResult | tuple[FusionResult, ...]:
+    """Evolve fusion inputs through the interferometer exactly.
+
+    ``fusion_input`` is a :class:`BellLabel` (that Bell state is placed
+    directly on the fused ports, ancillas prepared physically),
+    ``FULL_PREPARATION`` (both Bell pairs are built from photons 1-4, and a
+    heralded analyzer state per pattern is returned with the distribution),
+    or a tuple of these, which gives a tuple of results in the same order.
+
+    Each branch of :func:`flavor_branches` is evolved on its own; its
+    probabilities and densities enter with the branch weight times its
+    preparation's post-selection probability, normalized over branches.
+    The inputs' states of one branch that hold the same rows (Phi+ and
+    Phi-, Psi+ and Psi-) are evolved as one bundle (fock.apply_op), which
+    gives each input the bits of its own evolution.
+    """
+    inputs = fusion_input if isinstance(fusion_input, tuple) else (fusion_input,)
+    prepared = [_prepared(item, config) for item in inputs]
+    tallies = [_Tally(item == FULL_PREPARATION) for item in inputs]
     network = build_fusion_network(config)
     groups = detection_groups(config)
-    # Patterns stay int64 codes until the end: each code gets an
-    # accumulator slot on first appearance, so the table keeps that order.
-    slots: dict[int, int] = {}
-    probs = np.zeros(0)
-    rhos = np.zeros((0, 4, 4), dtype=complex)
-    for weight, state in prepared:
-        weight /= total
-        out = apply_network(state, network)
-        order, codes, bounds = _parts(out, groups)
-        # Python ints hash faster than numpy scalars.
-        slot = [slots.setdefault(code, len(slots)) for code in codes.tolist()]
-        fresh = len(slots) - len(probs)
-        if fresh:
-            probs = np.concatenate((probs, np.zeros(fresh)))
-            # -0.0 adds exactly, so a first density keeps its signed zeros.
-            rhos = np.concatenate((rhos, np.full((fresh, 4, 4), -0j)))
-        probs[slot] += weight * np.array(_norms(out, order, bounds))
-        if full:
-            rhos[slot] += weight * _pair_densities(out, order, bounds,
-                                                   PORT_KEEP_A, PORT_KEEP_B)
-    patterns = _patterns(np.fromiter(slots, np.int64, len(slots)), len(groups))
-    return FusionResult(
-        groups,
-        dict(zip(patterns, probs.tolist())),
-        dict(zip(patterns, rhos)) if full else None,
-    )
+    for branch in itertools.zip_longest(*prepared, fillvalue=(0.0, None)):
+        bundles = _bundles(((tally, weight), state) for tally, (weight, state)
+                           in zip(tallies, branch) if state is not None)
+        for op in network:
+            bundles = _evolved(bundles, op)
+        for tags, states in bundles:
+            order, codes, bounds = _parts(states[0], groups)
+            for (tally, weight), state in zip(tags, states):
+                tally.add(weight, state, order, codes, bounds)
+    results = tuple(tally.result(groups) for tally in tallies)
+    return results if isinstance(fusion_input, tuple) else results[0]
 
 
 # --------------------------------------------------------------------------

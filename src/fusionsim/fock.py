@@ -36,6 +36,14 @@ symmetric convention
 at 50:50, and the polarizing beam splitter transmits H and reflects V with
 the reflection phase ``PBS_REFLECTION_PHASE`` (kept in one place so the
 convention can be flipped).
+
+:func:`apply_op` also evolves a *bundle*: a tuple of states on one shared
+occupation matrix, one amplitude vector per member (such as Bell inputs
+that differ only in amplitude signs).  The row bookkeeping is done once
+per bundle, and each member comes back with the bits of its lone
+evolution on the union of the rows any member keeps, every entry it
+prunes exactly 0, so the caller re-bundles members by support before the
+next element.
 """
 
 from __future__ import annotations
@@ -374,46 +382,72 @@ def _expansion(op: ElementaryOp, acted: Occupation):
     return modes, counts, weights
 
 
-def apply_op(state: FockState, op: ElementaryOp) -> FockState:
-    """Evolve ``state`` through one element.
-
-    Each distinct sub-row on the element's ports is expanded once (and
-    memoized) by :func:`_expansion`.  An output row is an input row with
-    that sub-row replaced by one monomial; equal output rows are summed in
-    input-row, then monomial, order.  Photon number and norm are conserved.
-    """
-    if not len(state):
-        return state
-    ports = op_ports(op)
-    images = [_mode_image(op, mode) for mode in state.modes if mode.port in ports]
-    modes = tuple(sorted({m for image in images for m, _ in image}.union(state.modes)))
-    occ = _widened(state, modes)
-    acted = [c for c, mode in enumerate(modes) if mode.port in ports]
-    rest = [c for c, mode in enumerate(modes) if mode.port not in ports]
-    position = {modes[c]: i for i, c in enumerate(acted)}
-
-    kind, first = _group(occ[:, acted])
+@functools.lru_cache(maxsize=1024)
+def _monomials(op: ElementaryOp, acted: tuple[Mode, ...], subs: tuple[tuple[int, ...], ...]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Images of the distinct sub-rows ``subs`` over the ``acted`` modes on
+    ``op``'s ports: every sub-row's monomials over ``acted`` stacked in
+    sub-row order, their weights, how many each sub-row has, and each
+    monomial's group number (read-only arrays)."""
+    position = {m: i for i, m in enumerate(acted)}
     monos, weights = [], []
-    for sub in occ[first][:, acted].tolist():
-        sub_occ = tuple((modes[c], n) for c, n in zip(acted, sub) if n)
-        image, counts, weight = _expansion(op, sub_occ)
+    for sub in subs:
+        image, counts, weight = _expansion(op, tuple((m, n) for m, n in zip(acted, sub) if n))
         monos.append(np.zeros((len(counts), len(acted)), dtype=np.uint8))
         monos[-1][:, [position[m] for m in image]] = counts
         weights.append(weight)
     mono, weight = np.concatenate(monos), np.concatenate(weights)
+    lengths = np.array([len(w) for w in weights])
+    group = _group(mono)[0]
+    for array in (mono, weight, lengths, group):
+        array.flags.writeable = False
+    return mono, weight, lengths, group
+
+
+def apply_op(state: FockState | tuple[FockState, ...], op: ElementaryOp):
+    """Evolve a state, or a bundle of states, through one element.
+
+    A bundle is a tuple of states on the same modes and the same ``occ``
+    array, one amplitude vector per member.  Each distinct sub-row on the
+    element's ports is expanded once by :func:`_expansion` (the whole set
+    is memoized per element); an output row is an input row with that
+    sub-row replaced by one monomial, and equal output rows are summed in
+    input-row, then monomial, order.  All of that bookkeeping is done once
+    per bundle; only the products, sums and prune run per member.  The
+    members come back on one ``occ`` array, the union of the rows any
+    member keeps, each pruned entry exactly 0, so a member's nonzero
+    entries are the rows, amplitudes and order of its lone evolution.
+    Before the next element the caller re-bundles members by support
+    (their nonzero entries).  A lone state is the one-member bundle and
+    comes back alone.  Photon number and norm are conserved.
+    """
+    members = state if isinstance(state, tuple) else (state,)
+    lead = members[0]
+    if not len(lead):
+        return state
+    ports = op_ports(op)
+    images = [_mode_image(op, mode) for mode in lead.modes if mode.port in ports]
+    modes = tuple(sorted({m for image in images for m, _ in image}.union(lead.modes)))
+    occ = _widened(lead, modes)
+    acted = [c for c, mode in enumerate(modes) if mode.port in ports]
+    rest = [c for c, mode in enumerate(modes) if mode.port not in ports]
+
+    kind, first = _group(occ[:, acted])
+    subs = tuple(map(tuple, occ[first][:, acted].tolist()))
+    mono, weight, lengths, monomial = _monomials(op, tuple(modes[c] for c in acted), subs)
 
     # Output candidate j pairs input row[j] with monomial pick[j], in term-loop order.
-    lengths = np.array([len(w) for w in weights])
     per_row = lengths[kind]
-    row = np.repeat(np.arange(len(state)), per_row)
+    row = np.repeat(np.arange(len(lead)), per_row)
     offset = (np.cumsum(lengths) - lengths)[kind] - (np.cumsum(per_row) - per_row)
     pick = np.arange(len(row)) + np.repeat(offset, per_row)
     spectator, _ = _group(occ[:, rest])
-    monomial, _ = _group(mono)
     out, head = _group(spectator[row] * len(mono) + monomial[pick])
-    amps = _sum_by(out, len(head), *_product(state.amps[row], weight[pick]))
+    factor = weight[pick]
+    sums = [_sum_by(out, len(head), *_product(m.amps[row], factor)) for m in members]
 
-    keep = np.hypot(amps.real, amps.imag) > PRUNE_EPS  # Python's abs, bit for bit
+    kept = [np.hypot(a.real, a.imag) > PRUNE_EPS for a in sums]  # Python's abs, bit for bit
+    keep = np.logical_or.reduce(kept)
     # An output row is its input's rest columns plus its monomial's acted
     # ones; take copies whole rows, several times faster than [] here.
     rest_only = occ.copy()
@@ -422,7 +456,9 @@ def apply_op(state: FockState, op: ElementaryOp) -> FockState:
     placed[:, acted] = mono
     new = rest_only.take(row[head[keep]], axis=0)
     new += placed.take(pick[head[keep]], axis=0)
-    return FockState._of(modes, new, amps[keep])
+    evolved = tuple(FockState._of(modes, new, np.where(k, a, 0)[keep])
+                    for a, k in zip(sums, kept))
+    return evolved if isinstance(state, tuple) else evolved[0]
 
 
 def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsim import cli, detection, experiment
+from fusionsim import cli, detection, experiment, percolation
 from fusionsim.cli import (
     FusionRunConfig,
     PercolateRunConfig,
@@ -18,6 +18,7 @@ from fusionsim.cli import (
     SweepRunConfig,
     main,
 )
+from fusionsim.experiment import BellLabel
 
 
 DATA = Path(__file__).parent / "data"
@@ -87,16 +88,19 @@ class TestFusionCommand:
         calls = []
         run_fusion = experiment.run_fusion
 
-        def counting(label, config):
-            calls.append(config.phase)
-            return run_fusion(label, config)
+        def counting(inputs, config):
+            calls.append((inputs, config.phase))
+            return run_fusion(inputs, config)
 
         monkeypatch.setattr(detection, "run_fusion", counting)
         monkeypatch.setattr(experiment, "run_fusion", counting)
         out = tmp_path / "run"
         assert main(["fusion", "--phase", "0.5", "--out", str(out)]) == 0
-        # four ideal inputs for the table, four at the configured phase
-        assert sorted(calls) == [0.0] * 4 + [0.5] * 4
+        # the four inputs in one call for the ideal table, one at the configured phase
+        assert sorted(calls, key=lambda call: call[1]) == [
+            (tuple(BellLabel), 0.0),
+            (tuple(BellLabel), 0.5),
+        ]
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run"
@@ -115,6 +119,7 @@ class TestFusionCommand:
         ("fusion-no-ancilla", ["fusion", "--no-ancilla"]),
         ("phase-sweep", ["sweep", "--kind", "phase", "--grid", "0:6.9:24"]),
         ("fusion-v95", ["fusion", "--visibility", "0.95"]),
+        ("visibility-sweep", ["sweep", "--kind", "visibility", "--grid", "1.0,0.96,0.92"]),
     ],
 )
 def test_artifacts_match_recorded_bytes(tmp_path, name, argv):
@@ -122,7 +127,8 @@ def test_artifacts_match_recorded_bytes(tmp_path, name, argv):
     the copies in tests/data: a change in the engine's term order or
     rounding that reaches an artifact shows here first.  The V=1 artifacts
     round the same under most reorderings of a sum; the V=0.95 run, which
-    sums over 256 wave-packet branches, does not."""
+    sums over 256 wave-packet branches, does not.  The visibility sweep
+    pins the ideal table and three overlaps through one shared path."""
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
     recorded = sorted((DATA / name).iterdir())
@@ -418,6 +424,46 @@ def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, command, exist
     top = out.relative_to(tmp_path).parts[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(set(before) | {top})
     assert "run_config.json" in {p.name for p in out.iterdir()}
+
+
+#: The library call doing each QUICK_RUNS command's work, and how often its
+#: run config calls it to check ranges before any work starts.
+WORK = {
+    "fusion": (detection, "success_probability", 0),
+    "sweep": (experiment, "phase_sweep", 0),
+    "percolate": (percolation, "size_sweeps", 0),
+    "ppnrd": (detection, "ppnrd_response", 0),
+    "rate": (detection, "nfold_rate", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_is_a_file_fails_before_the_work(tmp_path, monkeypatch, capsys,
+                                                  command, under):
+    """An --out that is a file, or lies under one, exits 1 naming --out
+    before the work starts, and leaves the file as it was."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "run" if under else afile
+    module, name, checks = WORK[command]
+    calls = []
+    work = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    assert main([*QUICK_RUNS[command], "--out", str(out)]) == 1
+    assert f"--out {out}" in capsys.readouterr().err
+    assert len(calls) == checks
+    assert afile.read_text() == "kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    # The spy sees the work of a run that can write.
+    calls.clear()
+    assert main([*QUICK_RUNS[command], "--out", str(tmp_path / "ok")]) == 0
+    assert len(calls) == checks + 1
 
 
 @pytest.mark.parametrize("command", sorted(QUICK_RUNS))

@@ -38,8 +38,12 @@ from fusionsim.experiment import (
     run_fusion,
     single_photon,
     singlet_fidelity,
+    _bundles,
+    _evolved,
     _pair_densities,
+    _prepared,
 )
+from fusionsim import detection, experiment
 from fusionsim.fock import (
     H,
     V,
@@ -236,8 +240,10 @@ class TestMemoizedPreparations:
     def test_cached_states_are_read_only(self):
         bell, _ = prepare_bell_pair(PORT_KEEP_A, PORT_FUSE_A, (1, 2))
         noon = prepare_noon_pair(PORT_ANCILLA_A, 6, (5, 0))
+        pair = bell_state(PORT_FUSE_A, PORT_FUSE_B, BellLabel.PSI_PLUS, 2, 0)
         assert prepare_noon_pair(PORT_ANCILLA_A, 6, (5, 0)) is noon
-        for state in (bell, noon):
+        assert bell_state(PORT_FUSE_A, PORT_FUSE_B, BellLabel.PSI_PLUS, 2, 0) is pair
+        for state in (bell, noon, pair):
             for array in (state.occ, state.amps):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -312,6 +318,126 @@ class TestAccumulationOracle:
         assert list(result.conditional_states) == list(densities) == list(probs)
         for pattern, rho in densities.items():
             assert result.conditional_states[pattern].tobytes() == rho.tobytes()
+
+
+#: Bundled evolution is checked on every flavor branch of these configs.
+BUNDLE_CONFIGS = {
+    "v95": ExperimentConfig(overlap=0.95),
+    "per-photon-no-ancilla": ExperimentConfig(
+        ancilla_enabled=False, per_photon_overlap=(1.0, 0.9, 0.8) + (1.0,) * 5
+    ),
+    "phase": ExperimentConfig(overlap=0.9, phase=0.3),
+}
+
+
+class TestBundledEvolution:
+    """run_fusion evolves the Bell inputs of a branch that share their rows
+    as one bundle, splitting it by support after each element; every
+    member equals its input's lone evolution, bit for bit."""
+
+    @pytest.mark.parametrize("name", BUNDLE_CONFIGS)
+    def test_members_match_lone_evolution(self, name):
+        config = BUNDLE_CONFIGS[name]
+        network = build_fusion_network(config)
+        branches = zip(*(_prepared(label, config) for label in BellLabel))
+        splits = 0
+        for branch in branches:
+            lone = {label: state for label, (_, state) in zip(BellLabel, branch)}
+            bundles = _bundles(lone.items())
+            # Phi+/Phi- and Psi+/Psi- hold the same rows.
+            assert [set(tags) for tags, _ in bundles] == [
+                {BellLabel.PHI_PLUS, BellLabel.PHI_MINUS},
+                {BellLabel.PSI_PLUS, BellLabel.PSI_MINUS},
+            ]
+            for op in network:
+                splits += len(bundles)
+                bundles = _evolved(bundles, op)
+                splits -= len(bundles)
+                lone = {label: apply_op(state, op) for label, state in lone.items()}
+                assert sorted(label.value for tags, _ in bundles for label in tags) == sorted(
+                    label.value for label in BellLabel
+                )
+                for tags, states in bundles:
+                    assert all(state.occ is states[0].occ for state in states)
+                    for label, state in zip(tags, states):
+                        alone = lone[label]
+                        assert state.modes == alone.modes
+                        assert state.occ.shape == alone.occ.shape
+                        assert state.occ.tobytes() == alone.occ.tobytes()
+                        assert state.amps.tobytes() == alone.amps.tobytes()
+        if name == "v95":
+            assert splits < 0  # some bundle split, so re-bundling ran
+
+    def test_tuple_call_equals_single_calls(self):
+        """Inputs with different branch counts share one call: the full
+        preparation has four branches here and each Bell input two."""
+        config = ExperimentConfig(
+            ancilla_enabled=False, per_photon_overlap=(0.9, 1.0, 0.8) + (1.0,) * 5
+        )
+        inputs = (FULL_PREPARATION, BellLabel.PSI_MINUS, BellLabel.PSI_PLUS)
+        for together, item in zip(run_fusion(inputs, config), inputs):
+            alone = run_fusion(item, config)
+            assert list(together.pattern_probs) == list(alone.pattern_probs)
+            assert [p.hex() for p in together.pattern_probs.values()] == [
+                p.hex() for p in alone.pattern_probs.values()
+            ]
+            if item == FULL_PREPARATION:
+                for pattern, rho in alone.conditional_states.items():
+                    assert together.conditional_states[pattern].tobytes() == rho.tobytes()
+            else:
+                assert together.conditional_states is None
+
+    def test_apply_op_returns_members_on_the_union_of_kept_rows(self):
+        config = ExperimentConfig(overlap=0.95)
+        op = build_fusion_network(config)[0]
+        bundles = [bundle for branch in zip(*(_prepared(label, config) for label in BellLabel))
+                   for bundle in _bundles((label, state) for label, (_, state) in
+                                          zip(BellLabel, branch))]
+        pruned = 0
+        for tags, states in bundles:
+            out = apply_op(tuple(states), op)
+            assert all(state.occ is out[0].occ for state in out)
+            for state, member in zip(out, states):
+                alone = apply_op(member, op)
+                live = state.amps != 0
+                pruned += not live.all()
+                assert (state.amps[~live].view(float) == 0).all()
+                assert state.occ[live].tobytes() == alone.occ.tobytes()
+                assert state.amps[live].tobytes() == alone.amps.tobytes()
+        assert pruned  # some member lost rows that its partner keeps
+
+
+def row_sets(config: ExperimentConfig) -> tuple[int, int]:
+    """Distinct (element, modes, rows) sets met when each Bell input of each
+    branch is evolved alone, and the number of element applications."""
+    network = build_fusion_network(config)
+    seen, applications = set(), 0
+    for label in BellLabel:
+        for _, state in _prepared(label, config):
+            for i, op in enumerate(network):
+                seen.add((i, state.modes, state.occ.shape, state.occ.tobytes()))
+                state = apply_op(state, op)
+                applications += 1
+    return len(seen), applications
+
+
+def test_each_row_set_is_evolved_once(monkeypatch):
+    """success_probability applies an element once per distinct row set of
+    the four Bell inputs, not once per input: at V=0.95 that is 420
+    applications where separate evolution makes 768.  The ideal table at
+    V=1 adds its own row sets."""
+    config = ExperimentConfig(overlap=0.95)
+    calls = []
+
+    def counting(state, op):
+        calls.append(op)
+        return apply_op(state, op)
+
+    monkeypatch.setattr(experiment, "apply_op", counting)
+    detection.success_probability(config)
+    monkeypatch.undo()
+    assert row_sets(config) == (420, 768)
+    assert len(calls) == row_sets(replace(config, overlap=1.0))[0] + 420
 
 
 class TestPairDensities:

@@ -134,6 +134,39 @@ class TestElements:
             assert all(m.flavor == 3 for m, _ in occ)
 
 
+class TestBundles:
+    """apply_op on a tuple of states on one occ array does the row work
+    once: each member's nonzero entries are its lone evolution's rows,
+    amplitudes and order, bit for bit, and each entry it prunes is 0."""
+
+    def test_members_match_lone_evolution(self):
+        rng = np.random.default_rng(11)
+        pruned = 0
+        for op in ALL_OPS:
+            state = random_state(rng)
+            tiny = state.amps * np.where(rng.random(len(state)) < 0.5, 1e-15, 1.0)
+            members = tuple(FockState._of(state.modes, state.occ, amps)
+                            for amps in (tiny, state.amps, -state.amps))
+            out = apply_op(members, op)
+            assert all(m.modes == out[0].modes and m.occ is out[0].occ for m in out)
+            for member, evolved in zip(members, out):
+                alone = apply_op(member, op)
+                live = evolved.amps != 0
+                pruned += not live.all()
+                assert evolved.modes == alone.modes
+                assert evolved.occ[live].tobytes() == alone.occ.tobytes()
+                assert evolved.amps[live].tobytes() == alone.amps.tobytes()
+        assert pruned  # some member dropped rows that another keeps
+
+    def test_lone_state_is_the_one_member_bundle(self):
+        state = random_state(np.random.default_rng(3))
+        lone = apply_op(state, BeamSplitter(0, 1))
+        (member,) = apply_op((state,), BeamSplitter(0, 1))
+        assert isinstance(lone, FockState)
+        assert member.occ.tobytes() == lone.occ.tobytes()
+        assert member.amps.tobytes() == lone.amps.tobytes()
+
+
 class TestNetwork:
     def test_empty_network_is_identity(self):
         state = create_photons([(Mode(0, H), 2)])
