@@ -1,7 +1,8 @@
 """Command-line front end: validated JSON/flag configs in, CSV/JSON out.
 
 Subcommands
-    fusion      exact fusion-gate statistics (outcomes.csv, patterns.csv)
+    fusion      exact fusion-gate statistics (outcomes.csv, patterns.csv,
+                factors.csv)
     sweep       phase fringe or overlap sweeps (sweep.csv)
     percolate   connectivity curves and threshold (curves.csv, spanning.csv,
                 threshold.json)

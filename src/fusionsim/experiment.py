@@ -386,37 +386,14 @@ def _prepared(fusion_input: BellLabel | str, config: ExperimentConfig) -> list:
 
 
 def _bundles(members) -> list[tuple[list, list[FockState]]]:
-    """The (tag, state) pairs ``members`` as bundles (tags, states): each
-    state cut to its nonzero amplitudes, and states on equal modes and rows
-    grouped onto one shared ``occ`` array, in order of first member."""
-    # Members of one apply_op call share their occ array, so each support
-    # of an array is cut once; cuts of different arrays are compared whole.
-    cuts: dict[tuple[int, bytes], list] = {}
+    """The (tag, state) pairs ``members`` as bundles (tags, states) of
+    states on equal modes and rows, in order of first member."""
+    bundles: dict[tuple, tuple[list, list[FockState]]] = {}
     for tag, state in members:
-        live = state.amps != 0
-        cuts.setdefault((id(state.occ), live.tobytes()), []).append((tag, state, live))
-    bundles: list[tuple[list, list[FockState]]] = []
-    for cut in cuts.values():
-        _, lead, live = cut[0]
-        occ = lead.occ if live.all() else lead.occ[live]
-        for tags, states in bundles:
-            if states[0].modes == lead.modes and np.array_equal(states[0].occ, occ):
-                occ = states[0].occ
-                break
-        else:
-            tags, states = [], []
-            bundles.append((tags, states))
-        for tag, state, live in cut:
-            tags.append(tag)
-            states.append(FockState._of(state.modes, occ, state.amps[live]))
-    return bundles
-
-
-def _evolved(bundles: list[tuple[list, list[FockState]]], op: ElementaryOp):
-    """``bundles`` after the element ``op``: each evolved as one bundle by
-    fock.apply_op, then split again by the members' supports."""
-    return [new for tags, states in bundles
-            for new in _bundles(zip(tags, apply_op(tuple(states), op)))]
+        tags, states = bundles.setdefault((state.modes, state.occ.tobytes()), ([], []))
+        tags.append(tag)
+        states.append(state)
+    return list(bundles.values())
 
 
 class _Tally:
@@ -473,7 +450,8 @@ def run_fusion(
     preparation's post-selection probability, normalized over branches.
     The inputs' states of one branch that hold the same rows (Phi+ and
     Phi-, Psi+ and Psi-) are evolved as one bundle (fock.apply_op), which
-    gives each input the bits of its own evolution.
+    gives each input the bits of its own evolution; after each element the
+    members are bundled again by their rows.
     """
     inputs = fusion_input if isinstance(fusion_input, tuple) else (fusion_input,)
     prepared = [_prepared(item, config) for item in inputs]
@@ -484,7 +462,8 @@ def run_fusion(
         bundles = _bundles(((tally, weight), state) for tally, (weight, state)
                            in zip(tallies, branch) if state is not None)
         for op in network:
-            bundles = _evolved(bundles, op)
+            bundles = [new for tags, states in bundles
+                       for new in _bundles(zip(tags, apply_op(tuple(states), op)))]
         for tags, states in bundles:
             order, codes, bounds = _parts(states[0], groups)
             for (tally, weight), state in zip(tags, states):

@@ -37,13 +37,11 @@ at 50:50, and the polarizing beam splitter transmits H and reflects V with
 the reflection phase ``PBS_REFLECTION_PHASE`` (kept in one place so the
 convention can be flipped).
 
-:func:`apply_op` also evolves a *bundle*: a tuple of states on one shared
-occupation matrix, one amplitude vector per member (such as Bell inputs
-that differ only in amplitude signs).  The row bookkeeping is done once
-per bundle, and each member comes back with the bits of its lone
-evolution on the union of the rows any member keeps, every entry it
-prunes exactly 0, so the caller re-bundles members by support before the
-next element.
+:func:`apply_op` also evolves a *bundle*: a tuple of states on equal
+occupation rows, one amplitude vector per member (such as Bell inputs that
+differ only in amplitude signs).  The row bookkeeping is done once per
+bundle, and each member comes back as its lone evolution, bit for bit;
+members that keep the same rows share one occupation matrix.
 """
 
 from __future__ import annotations
@@ -289,6 +287,10 @@ class PhaseShift:
     port: int
     phase: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
+
 
 @dataclass(frozen=True)
 class HalfWavePlate:
@@ -296,6 +298,10 @@ class HalfWavePlate:
 
     port: int
     angle: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError("wave-plate angle must be finite")
 
 
 @dataclass(frozen=True)
@@ -407,18 +413,16 @@ def _monomials(op: ElementaryOp, acted: tuple[Mode, ...], subs: tuple[tuple[int,
 def apply_op(state: FockState | tuple[FockState, ...], op: ElementaryOp):
     """Evolve a state, or a bundle of states, through one element.
 
-    A bundle is a tuple of states on the same modes and the same ``occ``
-    array, one amplitude vector per member.  Each distinct sub-row on the
+    A bundle is a tuple of states on the same modes and equal ``occ``
+    rows, one amplitude vector per member.  Each distinct sub-row on the
     element's ports is expanded once by :func:`_expansion` (the whole set
     is memoized per element); an output row is an input row with that
     sub-row replaced by one monomial, and equal output rows are summed in
     input-row, then monomial, order.  All of that bookkeeping is done once
-    per bundle; only the products, sums and prune run per member.  The
-    members come back on one ``occ`` array, the union of the rows any
-    member keeps, each pruned entry exactly 0, so a member's nonzero
-    entries are the rows, amplitudes and order of its lone evolution.
-    Before the next element the caller re-bundles members by support
-    (their nonzero entries).  A lone state is the one-member bundle and
+    per bundle; only the products, sums and prune run per member.  Each
+    member comes back as its lone evolution, bit for bit: its rows,
+    amplitudes and row order.  Members that keep the same rows share one
+    ``occ`` array, built once.  A lone state is the one-member bundle and
     comes back alone.  Photon number and norm are conserved.
     """
     members = state if isinstance(state, tuple) else (state,)
@@ -446,19 +450,22 @@ def apply_op(state: FockState | tuple[FockState, ...], op: ElementaryOp):
     factor = weight[pick]
     sums = [_sum_by(out, len(head), *_product(m.amps[row], factor)) for m in members]
 
-    kept = [np.hypot(a.real, a.imag) > PRUNE_EPS for a in sums]  # Python's abs, bit for bit
-    keep = np.logical_or.reduce(kept)
     # An output row is its input's rest columns plus its monomial's acted
     # ones; take copies whole rows, several times faster than [] here.
     rest_only = occ.copy()
     rest_only[:, acted] = 0
     placed = np.zeros((len(mono), len(modes)), dtype=np.uint8)
     placed[:, acted] = mono
-    new = rest_only.take(row[head[keep]], axis=0)
-    new += placed.take(pick[head[keep]], axis=0)
-    evolved = tuple(FockState._of(modes, new, np.where(k, a, 0)[keep])
-                    for a, k in zip(sums, kept))
-    return evolved if isinstance(state, tuple) else evolved[0]
+    rows: dict[bytes, np.ndarray] = {}
+    evolved = []
+    for a in sums:
+        keep = np.hypot(a.real, a.imag) > PRUNE_EPS  # Python's abs, bit for bit
+        key = keep.tobytes()
+        if key not in rows:
+            rows[key] = rest_only.take(row[head[keep]], axis=0)
+            rows[key] += placed.take(pick[head[keep]], axis=0)
+        evolved.append(FockState._of(modes, rows[key], a[keep]))
+    return tuple(evolved) if isinstance(state, tuple) else evolved[0]
 
 
 def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:

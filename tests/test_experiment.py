@@ -39,7 +39,6 @@ from fusionsim.experiment import (
     single_photon,
     singlet_fidelity,
     _bundles,
-    _evolved,
     _pair_densities,
     _prepared,
 )
@@ -332,8 +331,8 @@ BUNDLE_CONFIGS = {
 
 class TestBundledEvolution:
     """run_fusion evolves the Bell inputs of a branch that share their rows
-    as one bundle, splitting it by support after each element; every
-    member equals its input's lone evolution, bit for bit."""
+    as one bundle, bundling the members again by their rows after each
+    element; every member equals its input's lone evolution, bit for bit."""
 
     @pytest.mark.parametrize("name", BUNDLE_CONFIGS)
     def test_members_match_lone_evolution(self, name):
@@ -351,7 +350,8 @@ class TestBundledEvolution:
             ]
             for op in network:
                 splits += len(bundles)
-                bundles = _evolved(bundles, op)
+                bundles = [new for tags, states in bundles
+                           for new in _bundles(zip(tags, apply_op(tuple(states), op)))]
                 splits -= len(bundles)
                 lone = {label: apply_op(state, op) for label, state in lone.items()}
                 assert sorted(label.value for tags, _ in bundles for label in tags) == sorted(
@@ -387,7 +387,7 @@ class TestBundledEvolution:
             else:
                 assert together.conditional_states is None
 
-    def test_apply_op_returns_members_on_the_union_of_kept_rows(self):
+    def test_apply_op_returns_each_member_as_its_lone_evolution(self):
         config = ExperimentConfig(overlap=0.95)
         op = build_fusion_network(config)[0]
         bundles = [bundle for branch in zip(*(_prepared(label, config) for label in BellLabel))
@@ -396,15 +396,31 @@ class TestBundledEvolution:
         pruned = 0
         for tags, states in bundles:
             out = apply_op(tuple(states), op)
-            assert all(state.occ is out[0].occ for state in out)
             for state, member in zip(out, states):
                 alone = apply_op(member, op)
-                live = state.amps != 0
-                pruned += not live.all()
-                assert (state.amps[~live].view(float) == 0).all()
-                assert state.occ[live].tobytes() == alone.occ.tobytes()
-                assert state.amps[live].tobytes() == alone.amps.tobytes()
-        assert pruned  # some member lost rows that its partner keeps
+                assert state.modes == alone.modes
+                assert state.occ.shape == alone.occ.shape
+                assert state.occ.tobytes() == alone.occ.tobytes()
+                assert state.amps.tobytes() == alone.amps.tobytes()
+                assert (state.amps != 0).all()
+            for a, b in itertools.combinations(out, 2):
+                same = a.occ.shape == b.occ.shape and a.occ.tobytes() == b.occ.tobytes()
+                assert (a.occ is b.occ) == same
+                pruned += not same
+        assert pruned  # some member dropped rows that its partner keeps
+
+    def test_input_order_does_not_move_bits(self):
+        """The order of the inputs decides which member leads each bundle;
+        every input still gets the bits of its single call."""
+        config = BUNDLE_CONFIGS["per-photon-no-ancilla"]
+        labels = tuple(BellLabel)
+        alone = {label: run_fusion(label, config) for label in labels}
+        for order in (labels, labels[::-1], labels[::2] + labels[1::2]):
+            for label, result in zip(order, run_fusion(order, config)):
+                assert list(result.pattern_probs) == list(alone[label].pattern_probs)
+                assert [p.hex() for p in result.pattern_probs.values()] == [
+                    p.hex() for p in alone[label].pattern_probs.values()
+                ]
 
 
 def row_sets(config: ExperimentConfig) -> tuple[int, int]:

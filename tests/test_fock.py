@@ -133,11 +133,23 @@ class TestElements:
         for occ, _ in out.items():
             assert all(m.flavor == 3 for m, _ in occ)
 
+    def test_phase_shift_rejects_non_finite_phase(self):
+        # A NaN phase would give every row a NaN amplitude, which the prune
+        # drops, leaving an empty state of norm 0.
+        for phase in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PhaseShift(0, phase)
+
+    def test_half_wave_plate_rejects_non_finite_angle(self):
+        for angle in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                HalfWavePlate(0, angle)
+
 
 class TestBundles:
-    """apply_op on a tuple of states on one occ array does the row work
-    once: each member's nonzero entries are its lone evolution's rows,
-    amplitudes and order, bit for bit, and each entry it prunes is 0."""
+    """apply_op on a tuple of states on equal occ rows does the row work
+    once: each member comes back as its lone evolution, bit for bit, and
+    members that keep the same rows share one occ array."""
 
     def test_members_match_lone_evolution(self):
         rng = np.random.default_rng(11)
@@ -148,15 +160,18 @@ class TestBundles:
             members = tuple(FockState._of(state.modes, state.occ, amps)
                             for amps in (tiny, state.amps, -state.amps))
             out = apply_op(members, op)
-            assert all(m.modes == out[0].modes and m.occ is out[0].occ for m in out)
             for member, evolved in zip(members, out):
                 alone = apply_op(member, op)
-                live = evolved.amps != 0
-                pruned += not live.all()
                 assert evolved.modes == alone.modes
-                assert evolved.occ[live].tobytes() == alone.occ.tobytes()
-                assert evolved.amps[live].tobytes() == alone.amps.tobytes()
-        assert pruned  # some member dropped rows that another keeps
+                assert evolved.occ.shape == alone.occ.shape
+                assert evolved.occ.tobytes() == alone.occ.tobytes()
+                assert evolved.amps.tobytes() == alone.amps.tobytes()
+                assert (evolved.amps != 0).all()
+            for a, b in itertools.combinations(out, 2):
+                same = a.occ.shape == b.occ.shape and a.occ.tobytes() == b.occ.tobytes()
+                assert (a.occ is b.occ) == same
+            pruned += len(out[0]) < len(out[1])
+        assert pruned  # the tiny member dropped rows that its partners keep
 
     def test_lone_state_is_the_one_member_bundle(self):
         state = random_state(np.random.default_rng(3))
