@@ -4,8 +4,8 @@ Subcommands
     fusion      exact fusion-gate statistics (outcomes.csv, patterns.csv,
                 factors.csv)
     sweep       phase fringe or overlap sweeps (sweep.csv)
-    percolate   connectivity curves and threshold (curves.csv, spanning.csv,
-                threshold.json)
+    percolate   connectivity curves and threshold (curves.csv, spanning.csv
+                with open boundaries, threshold.json)
     ppnrd       multiplexed-detector click statistics (ppnrd.json)
     rate        n-fold coincidence rate (rate.json)
 
@@ -417,7 +417,11 @@ def cmd_percolate(args) -> int:
             "method": "unavailable (need at least two sizes)",
             "sizes": list(cfg.sizes),
         }
-        if len(cfg.sizes) >= 2:
+        if cfg.boundary != "open":
+            threshold_payload["method"] = (
+                "unavailable (periodic boundary: the first and last rows are neighbours)"
+            )
+        elif len(cfg.sizes) >= 2:
             try:
                 estimate = percolation.estimate_threshold(list(spanning_curves.values()))
             except percolation.NoCrossingError as exc:
@@ -431,10 +435,9 @@ def cmd_percolate(args) -> int:
                 }
 
         header = ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed")
-        tables = (
-            ("curves", "largest-cluster v1", fraction_curves),
-            ("spanning", "spanning-probability v1", spanning_curves),
-        )
+        tables = [("curves", "largest-cluster v1", fraction_curves)]
+        if cfg.boundary == "open":
+            tables.append(("spanning", "spanning-probability v1", spanning_curves))
         for stem, schema, curves in tables:
             rows = _curve_rows(curves)
             _write_table(staging, stem, schema, header, rows, args.format)

@@ -127,10 +127,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _merge_order(
-    lattice: Lattice, model: PercModel, seed: int, trial: int, last_step: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The trial's bonds that take effect by ``last_step``, in merge order:
-    (effective steps, endpoint pairs, step of the first site)."""
+    lattice: Lattice, model: PercModel, seed: int, trial: int, first_step: int, last_step: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    """The trial's bonds split at ``first_step``: the endpoint pairs in effect
+    by then, unsorted; ``(effective steps, endpoint pairs)`` of the rest up
+    to ``last_step``, in merge order; and the step of the first site."""
     rng = trial_rng(seed, trial)
     n = lattice.n_sites
     bonds = lattice.bonds
@@ -143,13 +144,14 @@ def _merge_order(
         site_step, bond_step = step[:n], step[n:]
     key = np.maximum(bond_step, site_step[bonds[:, 0]])
     np.maximum(key, site_step[bonds[:, 1]], out=key)
+    prefix = bonds.compress(key <= first_step, axis=0)
     # Ties are bonds completed by one site at the same step.  Their order
     # cannot move a record: entry k is read only after every bond of step
     # k, and connectivity after a step does not depend on the order
     # within it.  So the faster unstable sort serves.
-    cand = np.flatnonzero(key <= last_step)
-    ranked = cand[np.argsort(key[cand])]
-    return key[ranked], bonds.take(ranked, axis=0), int(site_step.min())
+    window = np.flatnonzero((key > first_step) & (key <= last_step))
+    window = window[np.argsort(key[window])]
+    return prefix, (key[window], bonds.take(window, axis=0)), int(site_step.min())
 
 
 def _prefix_roots(n: int, edges: np.ndarray) -> np.ndarray:
@@ -193,10 +195,11 @@ def run_trial(
 
     ``largest`` is the largest-cluster size S_m (1 at step 0 in bond mode,
     where isolated sites are clusters, and 0 in site-bond mode, where no
-    site is active yet).  ``spanning`` is the 0/1 indicator of a cluster
-    touching both the first and last row.
+    site is active yet), in the narrowest type that holds the site count.
+    ``spanning`` is the int8 0/1 indicator of a cluster touching both the
+    first and last row.
 
-    The bonds in effect by ``first_step`` are merged at once by
+    The bonds in effect by ``first_step`` are merged at once, unsorted, by
     ``_prefix_roots``, which seeds the union-find with its components;
     the rest are merged with union by size and path halving in order of
     effective step, up to ``last_step``.  The largest-cluster record is
@@ -212,18 +215,18 @@ def run_trial(
             f"need 0 <= first_step <= last_step <= {m_total}, "
             f"got first_step={first_step}, last_step={last_step}"
         )
-    keys, ends, first_site = _merge_order(lattice, model, seed, trial, last_step)
+    prefix, (keys, ends), first_site = _merge_order(
+        lattice, model, seed, trial, first_step, last_step
+    )
     n, L = lattice.n_sites, lattice.length
-    cut = int(np.searchsorted(keys, first_step, "right"))
-    # Flat forest: every site points at its prefix root.
-    parent = _prefix_roots(n, ends[:cut])
-    if cut:
-        # Window bonds start from their prefix roots; those inside one
-        # prefix cluster join nothing.
-        ends = parent[ends[cut:]]
-        keep = ends[:, 0] != ends[:, 1]
-        keys, ends = keys[cut:][keep], ends.compress(keep, axis=0)
-    keys -= first_step  # now the record index of each merge
+    # Flat forest: each site points at its prefix root (itself if no bond
+    # precedes the window).  Window bonds inside one prefix cluster join
+    # nothing; keys become the record index of each merge.
+    parent = _prefix_roots(n, prefix)
+    ends = parent[ends]
+    keep = ends[:, 0] != ends[:, 1]
+    keys = keys[keep] - first_step
+    ends = ends.compress(keep, axis=0)
     # Each array becomes its list before the next is made, which bounds
     # their memory at large sizes.  Bit 1 marks a cluster touching the
     # first row, bit 2 the last row.
@@ -238,8 +241,8 @@ def run_trial(
     parent = parent.tolist()
     # np.zeros leaves the pages unwritten until the pass writes them
     # (np.zeros_like would write them all at once).
-    largest = np.zeros(last_step - first_step + 1, dtype=np.int64)
-    spanning = np.zeros(last_step - first_step + 1, dtype=np.int64)
+    largest = np.zeros(last_step - first_step + 1, dtype=np.min_scalar_type(n))
+    spanning = np.zeros(last_step - first_step + 1, dtype=np.int8)
     if first_site <= last_step:
         largest[max(first_site - first_step, 0)] = biggest
     if spans:
@@ -298,24 +301,19 @@ def binomial_window(m_total: int, p: float) -> tuple[int, np.ndarray]:
     )
     peak = math.exp(log_peak)
     ratio = p / (1.0 - p)
-    lower: list[float] = []
-    w = peak
-    m = mode
-    while m > 0:
-        w *= m / ((m_total - m + 1) * ratio)
-        if w < 1e-16:
-            break
-        lower.append(w)
-        m -= 1
-    upper: list[float] = []
-    w = peak
-    m = mode
-    while m < m_total:
-        w *= (m_total - m) * ratio / (m + 1)
-        if w < 1e-16:
-            break
-        upper.append(w)
-        m += 1
+
+    def tail(ms: range, factor) -> list[float]:
+        """Weights from the mode outward, one factor per m, down to 1e-16."""
+        out, w = [], peak
+        for m in ms:
+            w *= factor(m)
+            if w < 1e-16:
+                break
+            out.append(w)
+        return out
+
+    lower = tail(range(mode, 0, -1), lambda m: m / ((m_total - m + 1) * ratio))
+    upper = tail(range(mode, m_total), lambda m: (m_total - m) * ratio / (m + 1))
     weights = np.array(lower[::-1] + [peak] + upper)
     # The gamma-function anchor drifts by ~1e-8 relative for element counts
     # in the millions; the window mass is 1 up to ~1e-13 truncated tails, so
@@ -553,10 +551,14 @@ def estimate_threshold(curves: Sequence[SweepCurve]) -> ThresholdEstimate:
     The secondary slope-peak location is reported as a diagnostic; with at
     least two sizes the crossings of the smaller sizes come along for
     finite-size comparisons.  Raises :class:`NoCrossingError` when any
-    curve never crosses one half on its grid.
+    curve never crosses one half on its grid, and ``ValueError`` for a
+    periodic curve: its wrap bonds make the first and last rows
+    neighbours, so one bond already "spans" them.
     """
     if len(curves) < 2:
         raise ValueError("need curves for at least two lattice sizes")
+    if any(c.boundary != "open" for c in curves):
+        raise ValueError("a spanning threshold needs open boundaries")
     ordered = sorted(curves, key=lambda c: c.length)
     crossings = {c.length: _half_crossing(c.p_grid, c.mean) for c in ordered}
     largest = ordered[-1]

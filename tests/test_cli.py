@@ -120,15 +120,22 @@ class TestFusionCommand:
         ("phase-sweep", ["sweep", "--kind", "phase", "--grid", "0:6.9:24"]),
         ("fusion-v95", ["fusion", "--visibility", "0.95"]),
         ("visibility-sweep", ["sweep", "--kind", "visibility", "--grid", "1.0,0.96,0.92"]),
+        ("percolate-site-bond", ["percolate", "--sizes", "8,12", "--trials", "10",
+                                 "--grid", "0.4:0.9:0.05", "--seed", "17"]),
+        ("percolate-bond", ["percolate", "--mode", "bond", "--sizes", "6,10",
+                            "--trials", "8", "--grid", "0:1:0.1", "--seed", "3"]),
     ],
 )
 def test_artifacts_match_recorded_bytes(tmp_path, name, argv):
-    """Artifacts of the exact fusion engine, pinned byte for byte against
-    the copies in tests/data: a change in the engine's term order or
-    rounding that reaches an artifact shows here first.  The V=1 artifacts
-    round the same under most reorderings of a sum; the V=0.95 run, which
-    sums over 256 wave-packet branches, does not.  The visibility sweep
-    pins the ideal table and three overlaps through one shared path."""
+    """Artifacts pinned byte for byte against the copies in tests/data: a
+    change in term order or rounding that reaches an artifact shows here
+    first.  The V=1 artifacts round the same under most reorderings of a
+    sum; the V=0.95 run, which sums over 256 wave-packet branches, does
+    not.  The visibility sweep pins the ideal table and three overlaps
+    through one shared path.  The percolate runs pin the sweep, the
+    binomial windows, the convolution and the aggregation: the site-bond
+    run's first window starts after some bonds are in effect, the bond
+    run's at step 0."""
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 0
     recorded = sorted((DATA / name).iterdir())
@@ -275,6 +282,21 @@ class TestPercolateCommand:
         assert "never crosses" in threshold["method"]
         for name in ("curves.csv", "spanning.csv", "run_config.json"):
             assert (out / name).exists()
+
+    def test_periodic_boundary_reports_no_threshold(self, tmp_path):
+        """Wrap bonds make the first and last rows neighbours, so a
+        periodic run has no spanning curve to cross: it writes the
+        largest-cluster curves, no spanning.csv and a null estimate."""
+        out = tmp_path / "run"
+        args = ["percolate", "--mode", "bond", "--boundary", "periodic",
+                "--sizes", "8,12", "--trials", "10", "--grid", "0:1:0.1",
+                "--seed", "3", "--out", str(out)]
+        assert main(args) == 0
+        threshold = json.loads((out / "threshold.json").read_text())
+        assert threshold["estimate"] is None
+        assert "periodic" in threshold["method"]
+        assert (out / "curves.csv").exists()
+        assert not (out / "spanning.csv").exists()
 
     @pytest.mark.parametrize(
         "flags, config",

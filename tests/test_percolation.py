@@ -1,9 +1,11 @@
 """Kruskal sweep, binomial convolution, and threshold estimation."""
 
 import concurrent.futures
+import hashlib
 import math
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,6 +215,64 @@ class TestRunTrial:
         first = int(np.argmax(record == 1))
         assert record[first:].min() == 1
 
+    @pytest.mark.parametrize(
+        "side, dtype", [(15, np.uint8), (16, np.uint16), (256, np.uint32)]
+    )
+    def test_records_are_narrow(self, side, dtype):
+        """``largest`` takes the narrowest type that holds the site count
+        (225 fits uint8, 256 does not) and ``spanning`` int8, so a step
+        costs 2, 3 or 5 bytes instead of 16."""
+        lat = build_square_lattice(side, "open")
+        model = PercModel()
+        mid = n_elements(lat, model) // 2
+        largest, spanning = run_trial(lat, model, 4, first_step=mid, last_step=mid + 9)
+        assert largest.dtype == dtype and spanning.dtype == np.int8
+        assert largest.nbytes + spanning.nbytes == 10 * (np.dtype(dtype).itemsize + 1)
+
+
+def effective_steps(lat, mode, seed, trial):
+    """Each bond's effective step, element by element from the trial's
+    random order: the latest of its own step and its endpoints' steps."""
+    n, m_total = lat.n_sites, n_elements(lat, PercModel(mode=mode))
+    step = [0] * m_total
+    for m, element in enumerate(trial_rng(seed, trial).permutation(m_total).tolist()):
+        step[element] = m + 1
+    if mode == "bond":
+        return step
+    return [max(step[n + b], step[u], step[v]) for b, (u, v) in enumerate(lat.bonds.tolist())]
+
+
+class TestMergeOrder:
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("mode", ["bond", "site-bond"])
+    def test_split_at_first_step(self, mode, boundary):
+        """The prefix holds exactly the bonds in effect by ``first_step``,
+        the window the rest up to ``last_step`` in non-decreasing key
+        order, and together they hold every bond in effect by then."""
+        lat = build_square_lattice(6, boundary)
+        model = PercModel(mode=mode)
+        m_total = n_elements(lat, model)
+        for trial in range(3):
+            keys = effective_steps(lat, mode, seed=7, trial=trial)
+            bonds = [tuple(b) for b in lat.bonds.tolist()]
+            for first, last in ((0, m_total), (0, m_total // 2),
+                                (m_total // 3, 2 * m_total // 3), (m_total, m_total)):
+                prefix, (window_keys, window), _ = percolation._merge_order(
+                    lat, model, 7, trial, first, last
+                )
+                expected_prefix = sorted(b for b, k in zip(bonds, keys) if k <= first)
+                assert sorted(map(tuple, prefix.tolist())) == expected_prefix
+                assert np.all(np.diff(window_keys) >= 0)
+                assert np.all((window_keys > first) & (window_keys <= last))
+                expected_window = sorted(
+                    (k, b) for b, k in zip(bonds, keys) if first < k <= last
+                )
+                got_window = sorted(zip(window_keys.tolist(), map(tuple, window.tolist())))
+                assert got_window == expected_window
+                in_effect = sorted(b for b, k in zip(bonds, keys) if k <= last)
+                together = sorted(map(tuple, [*prefix.tolist(), *window.tolist()]))
+                assert together == in_effect
+
 
 class TestPrefixRoots:
     @staticmethod
@@ -265,6 +325,35 @@ class TestBinomialWindow:
         for p in (0.01, 0.3, 0.5, 0.672, 0.99):
             _, weights = binomial_window(m_total, p)
             assert abs(weights.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "m_total, p, start, digest",
+        [
+            (0, 1e-09, 0, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+            (0, 0.3, 0, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+            (0, 0.74, 0, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+            (0, 0.999999, 0, "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+            (280, 1e-09, 0, "42e6e2bedcebbc01e8b560e7523c383b980bb8c00c59831a53250668a832f7c6"),
+            (280, 0.3, 27, "d7c673be2b3aae39ab3ce1540a9623df4d0e33b8152f61dbd0c1bae427333469"),
+            (280, 0.74, 143, "19445b4e087d2520bdbecbad40dcbc27ac6e1e2d3a7f9d2db0fe76b71d33d35f"),
+            (280, 0.999999, 276, "724c6f6bfacaa62da1ab47dd06cbdd495b33a08c0efeaddf47e6f305ff084663"),
+            (29800, 1e-09, 0, "536a1841a8e0948670e6ae148ecb8d9074e158fec9b2be711e0ffd25a413aa3c"),
+            (29800, 0.3, 8316, "4bf7eeebf030abdb6ddb898094829298ba883065be7c4f597fc7f4b567119ea4"),
+            (29800, 0.74, 21446, "8f8748eef16c9e3022d7d0d31ed7424366515fd13da07467564ce89745eb5aa6"),
+            (29800, 0.999999, 29793, "768602f6177b5e71e1e83cd5e9fcbe4aa8d5e7d17aea47ad7c193dd16efdd44a"),
+            (2998000, 1e-09, 0, "0b2ab1e391f98ae2025fb556dabab32dcd0f83c555eceae406d248730dee72d3"),
+            (2998000, 0.3, 893336, "36fa7208a546dc24b536609f03901fd10c8334e665d5ce415b5552f9b15d823f"),
+            (2998000, 0.74, 2212703, "4e0c50bde0854aafede254378c0e7a169a67e44398896ddc1562874b05a1f669"),
+            (2998000, 0.999999, 2997974, "64bf44c0f32828e4eee533d5de812686fe472fbb44f70ff3908c9e5e9f0b32c5"),
+        ],
+    )
+    def test_keeps_its_bits(self, m_total, p, start, digest):
+        """Start and sha256 of the weights' bytes, recorded for the
+        site-bond element counts of L = 10, 100 and 1000: a reordered
+        product in the tail walk changes the digest."""
+        got_start, weights = binomial_window(m_total, p)
+        assert got_start == start
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == digest
 
     def test_degenerate_endpoints(self):
         assert binomial_window(50, 0.0) == (0, pytest.approx([1.0]))
@@ -457,6 +546,14 @@ class TestThresholdEstimation:
     def test_needs_two_sizes(self):
         with pytest.raises(ValueError):
             estimate_threshold([synthetic_curve([0.1, 0.9], [0.0, 1.0])])
+
+    def test_periodic_curves_rejected(self):
+        """Wrap bonds make the first and last rows neighbours, so a
+        periodic spanning curve has no threshold to report."""
+        small = synthetic_curve([0.4, 0.5, 0.6], [0.2, 0.4, 0.9], length=8)
+        large = replace(small, length=16, boundary="periodic")
+        with pytest.raises(ValueError, match="open boundaries"):
+            estimate_threshold([small, large])
 
     def test_slope_peak(self):
         curve = synthetic_curve([0.0, 0.25, 0.5, 0.75], [0.0, 0.1, 0.8, 0.9], 16)
