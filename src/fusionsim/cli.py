@@ -14,7 +14,8 @@ dataclass, and a field has one name everywhere: it is the --config key, the
 argparse dest of its flag and the key in run_config.json.  Every run writes
 run_config.json with the fully resolved parameters; rerun with the same seed
 (any --threads) and the outputs are byte-identical.  A run's files appear in
---out together or not at all (see _staged_output).
+--out together or not at all, and replace every artifact of its subcommand
+that an earlier run left there (see _staged_output).
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 """
 
@@ -154,6 +155,16 @@ def _write_table(
     return path
 
 
+#: Artifact stems of each subcommand, written as .csv or .json.
+_ARTIFACTS = {
+    "fusion": ("outcomes", "patterns", "factors"),
+    "sweep": ("sweep",),
+    "percolate": ("curves", "spanning", "threshold"),
+    "ppnrd": ("ppnrd",),
+    "rate": ("rate",),
+}
+
+
 @contextmanager
 def _staged_output(out: str, subcommand: str, run_config: dict):
     """Directory for a run's files, moved into ``out`` once all are written.
@@ -164,8 +175,12 @@ def _staged_output(out: str, subcommand: str, run_config: dict):
     or lies under, something other than a directory fails at once, with a
     message naming ``out``.  After the block completes, run_config.json is
     added, ``out`` (and any missing parent) is created and every file is
-    moved into it.  If anything fails first, the temporary directory is
-    removed and no directory is created, so ``out`` is left as it was.
+    moved into it.  Then each ``.csv`` or ``.json`` of the subcommand's
+    artifacts that this run did not write is deleted from ``out``, so an
+    earlier run's file (another format, or a table this configuration
+    lacks) is not read as this run's; other files stay.  If anything fails
+    before the moves, the temporary directory is removed and no directory
+    is created, so ``out`` is left as it was.
     """
     out_dir = Path(out)
     base = out_dir
@@ -186,6 +201,12 @@ def _staged_output(out: str, subcommand: str, run_config: dict):
                 raise IsADirectoryError(f"{out_dir / path.name} is a directory")
         for path in files:
             os.replace(path, out_dir / path.name)
+        written = {path.name for path in files}
+        for stem in _ARTIFACTS[subcommand]:
+            for name in (f"{stem}.csv", f"{stem}.json"):
+                stale = out_dir / name
+                if name not in written and not stale.is_dir():
+                    stale.unlink(missing_ok=True)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 

@@ -52,10 +52,10 @@ from .fock import (
     pattern_distribution,
     project_port_counts,
     superpose,
+    _column_sums,
     _group,
     _norms,
     _parts,
-    _patterns,
 )
 
 # Port map of the bench.
@@ -397,25 +397,26 @@ def _bundles(members) -> list[tuple[list, list[FockState]]]:
 
 
 class _Tally:
-    """One input's weighted sums: a probability per pattern code, and for a
-    full preparation a heralded density, in slots numbered by the codes'
-    first appearance."""
+    """One input's weighted sums over ``groups``: a probability per pattern
+    row, and for a full preparation a heralded density, in slots numbered
+    by the rows' first appearance."""
 
-    def __init__(self, full: bool):
-        self.full = full
-        self.codes = np.zeros(0, np.int64)
+    def __init__(self, full: bool, groups: tuple[Group, ...]):
+        self.full, self.groups = full, groups
+        self.rows = np.zeros((0, len(groups)), np.uint8)
         self.probs = np.zeros(0)
         self.rhos = np.zeros((0, 4, 4), dtype=complex)
 
-    def add(self, weight: float, state: FockState, order, codes, bounds) -> None:
+    def add(self, weight: float, state: FockState, order, rows, bounds) -> None:
         """Add ``weight`` times the parts of ``state`` that fock._parts
-        found (``order``, ``codes``, ``bounds``; the codes are distinct)."""
-        # The slot codes lead and are distinct, so _group numbers them by
-        # slot and numbers new codes after them in order of appearance.
-        seen = np.concatenate((self.codes, codes))
+        found (``order``, pattern ``rows``, ``bounds``; the rows are
+        distinct)."""
+        # The slot rows lead and are distinct, so _group numbers them by
+        # slot and numbers new rows after them in order of appearance.
+        seen = np.concatenate((self.rows, rows))
         group, first = _group(seen)
-        slot = group[len(self.codes):]
-        self.codes = seen[first]
+        slot = group[len(self.rows):]
+        self.rows = seen[first]
         fresh = len(first) - len(self.probs)
         self.probs = np.concatenate((self.probs, np.zeros(fresh)))
         self.probs[slot] += weight * np.array(_norms(state, order, bounds))
@@ -425,10 +426,10 @@ class _Tally:
             self.rhos[slot] += weight * _pair_densities(state, order, bounds,
                                                         PORT_KEEP_A, PORT_KEEP_B)
 
-    def result(self, groups: tuple[Group, ...]) -> FusionResult:
-        patterns = _patterns(self.codes, len(groups))
+    def result(self) -> FusionResult:
+        patterns = list(map(tuple, self.rows.tolist()))
         return FusionResult(
-            groups,
+            self.groups,
             dict(zip(patterns, self.probs.tolist())),
             dict(zip(patterns, self.rhos)) if self.full else None,
         )
@@ -455,9 +456,9 @@ def run_fusion(
     """
     inputs = fusion_input if isinstance(fusion_input, tuple) else (fusion_input,)
     prepared = [_prepared(item, config) for item in inputs]
-    tallies = [_Tally(item == FULL_PREPARATION) for item in inputs]
-    network = build_fusion_network(config)
     groups = detection_groups(config)
+    tallies = [_Tally(item == FULL_PREPARATION, groups) for item in inputs]
+    network = build_fusion_network(config)
     for branch in itertools.zip_longest(*prepared, fillvalue=(0.0, None)):
         bundles = _bundles(((tally, weight), state) for tally, (weight, state)
                            in zip(tallies, branch) if state is not None)
@@ -465,10 +466,10 @@ def run_fusion(
             bundles = [new for tags, states in bundles
                        for new in _bundles(zip(tags, apply_op(tuple(states), op)))]
         for tags, states in bundles:
-            order, codes, bounds = _parts(states[0], groups)
+            order, rows, bounds = _parts(states[0], groups)
             for (tally, weight), state in zip(tags, states):
-                tally.add(weight, state, order, codes, bounds)
-    results = tuple(tally.result(groups) for tally in tallies)
+                tally.add(weight, state, order, rows, bounds)
+    results = tuple(tally.result() for tally in tallies)
     return results if isinstance(fusion_input, tuple) else results[0]
 
 
@@ -497,12 +498,7 @@ def _pair_densities(state: FockState, order: np.ndarray, bounds: list[int],
              for key in dict.fromkeys(merged)]
     probe += [[c for c, m in enumerate(state.modes) if m[:2] == (p, pol)]
               for p in ports for pol in (H, V)]
-    occ = state.occ.take(order, axis=0)
-    # Column sums: numpy's integer matrix product is a plain triple loop.
-    counts = np.zeros((len(probe), len(order)), dtype=np.uint8)
-    for j, cols in enumerate(probe):
-        for c in cols:
-            counts[j] += occ[:, c]
+    counts = _column_sums(state.occ.take(order, axis=0), probe)
     for port, h, v in zip(ports, counts[-4::2], counts[-3::2]):
         if (h + v != 1).any():
             raise ValueError(f"state is not one photon on analyzer port {port}")

@@ -16,14 +16,13 @@ by its counts packed four bits each into 64-bit words and numbers equal
 keys by sorting them.  Evolution, :func:`compose` and :func:`superpose` sum
 equal rows in the order a term-by-term loop would, with complex products
 rounded as Python rounds them, so results are reproducible to the bit.
-Detectors are flavor-blind: one helper keys each row by an exact int64
-pattern code, whose base-(MAX_PHOTONS + 1) digits are the photons each
-detection group sees (a sum of occupation columns), and orders the rows by
-part.  :func:`partition` slices that order into states and
-:func:`pattern_distribution` into squared norms, each square rounded
-as Python's ``** 2`` rounds it; experiment.run_fusion reads its table and
-heralded densities off the same order.  Counting uses integer arithmetic
-only, so no path calls BLAS, whose threads spin on small float products.
+Detectors are flavor-blind: a detector pattern is a row of counts, the
+photons each detection group sees (a sum of occupation columns), and
+:func:`_group` numbers pattern rows as it numbers occupation rows.  One
+helper orders a state's rows by pattern; :func:`partition` slices that
+order into states and :func:`pattern_distribution` into squared norms,
+each square rounded as Python's ``** 2`` rounds it; experiment.run_fusion
+reads its table and heralded densities off the same order.
 
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
@@ -110,7 +109,11 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         width = rows.shape[1]
         padded = np.zeros((len(rows), 16 * max(1, -(-width // 16))), np.uint8)
         padded[:, :width] = rows
-        words = (padded[:, ::2] | padded[:, 1::2] << 4).view(np.uint64)
+        # Read as uint16, each byte pair folds into its low byte: one count
+        # per nibble, in either byte order.  Contiguous, unlike byte slices.
+        pairs = padded.view(np.uint16)
+        pairs |= pairs >> 4
+        words = pairs.astype(np.uint8).view(np.uint64)
         rows = words[:, 0]
         for word in words.T[1:]:
             more, heads = _group(word)
@@ -478,37 +481,17 @@ def apply_network(state: FockState, ops: Iterable[ElementaryOp]) -> FockState:
 # --------------------------------------------------------------------------
 # Measurement-side helpers
 #
-# _parts is the one place that counts photons per detection group, summing
-# each group's occupation columns into an int64 pattern code (count j is
-# digit j in base _RADIX), numbers the codes with _group and orders rows
-# stably by part.  partition slices states out of that order and
-# pattern_distribution squared norms (_norms) out of the same runs, decoding
-# the codes to tuples (_patterns) once per part; the port-count projection
-# reads partition's states.  experiment.run_fusion calls _parts once per
-# branch, reads its table (_norms) and every part's heralded density
-# (experiment._pair_densities) off those runs, and keeps the codes until
-# its table is done.  post_select masks rows on exact mode counts on its
-# own, so tests can check the heralded density matrices against it.
+# _parts is the one place that counts photons per detection group: it sums
+# each group's occupation columns into a pattern row (_column_sums), numbers
+# the pattern rows with _group and orders rows stably by part.  partition
+# slices states out of that order and pattern_distribution squared norms
+# (_norms) out of the same runs, each keyed by its part's pattern row as a
+# tuple; the port-count projection reads partition's states.
+# experiment.run_fusion calls _parts once per branch, reads its table
+# (_norms) and every part's heralded density (experiment._pair_densities,
+# which counts with _column_sums too) off those runs, and keeps the pattern
+# rows until its table is done.
 # --------------------------------------------------------------------------
-
-
-def post_select(state: FockState, pattern: Mapping[Mode, int]) -> tuple[FockState, float]:
-    """Condition on exact counts over a subset of modes.
-
-    The pattern modes are consumed: the returned state lives on the
-    remaining modes and is renormalized.  A pattern with no support
-    returns probability 0 and an empty state.
-    """
-    mask = np.ones(len(state), dtype=bool)
-    for mode, n in pattern.items():
-        mask &= (state.occ[:, state.modes.index(mode)] if mode in state.modes else 0) == n
-    # Selected rows agree on the pattern columns, so dropping them keeps rows distinct.
-    kept = [c for c, mode in enumerate(state.modes) if mode not in pattern]
-    modes = tuple(state.modes[c] for c in kept)
-    rows = np.flatnonzero(mask)
-    rest = FockState._of(modes, state.occ.take(rows, axis=0)[:, kept], state.amps[rows])
-    prob = rest.norm_squared()
-    return (rest.normalized(), prob) if prob else (FockState({}), 0.0)
 
 
 #: A detection group: spatial port plus polarization, or a whole port
@@ -518,8 +501,15 @@ Group = tuple[int, Union[str, None]]
 Pattern = tuple[int, ...]
 
 
-#: Detector counts are the digits of an int64 pattern code in this base.
-_RADIX = MAX_PHOTONS + 1
+def _column_sums(occ: np.ndarray, columns: Sequence[Sequence[int]]) -> np.ndarray:
+    """Count rows (len(columns) x rows of ``occ``): row j sums the
+    occupation columns ``columns[j]``, one contiguous add per column (numpy's
+    integer matrix product is a plain triple loop)."""
+    counts = np.zeros((len(columns), len(occ)), dtype=np.uint8)
+    for j, cols in enumerate(columns):
+        for c in cols:
+            counts[j] += occ[:, c]
+    return counts
 
 
 def _parts(
@@ -527,33 +517,23 @@ def _parts(
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Rows split by their photon counts over ``groups``: the stable row
     order that makes each :func:`partition` part a contiguous run, the
-    parts' pattern codes in order of their first rows, and the run bounds
-    (part i is rows ``bounds[i]:bounds[i + 1]`` of that order).  A code is
-    sum_j count_j * _RADIX ** j, so it fits int64 for up to 19 groups."""
+    parts' pattern rows (parts x groups, uint8) in order of their first
+    rows, and the run bounds (part i is rows ``bounds[i]:bounds[i + 1]`` of
+    that order)."""
     slots = [((port, p), j) for j, (port, pol) in enumerate(groups)
              for p in ((pol,) if pol else POLARIZATIONS)]
     column = dict(slots)
     if len(column) < len(slots):
         raise ValueError(f"detection groups overlap: {list(groups)}")
-    if _RADIX ** len(groups) > 2**63:
-        raise ValueError(f"{len(groups)} detection groups overflow the int64 code")
-    # The groups are disjoint, so each mode's column adds to at most one count.
-    counts = np.zeros((len(groups), len(state)), dtype=np.uint8)
+    # The groups are disjoint, so each mode's column adds to at most one
+    # count; the last list takes the modes outside every group.
+    columns = [[] for _ in range(len(groups) + 1)]
     for c, m in enumerate(state.modes):
-        if (m.port, m.pol) in column:
-            counts[column[m.port, m.pol]] += state.occ[:, c]
-    # An integer product, which numpy computes without BLAS (BLAS thread
-    # pools spin on small float products and slow every other path).
-    code = _RADIX ** np.arange(len(groups), dtype=np.int64) @ counts
-    part, first = _group(code)
+        columns[column.get(m[:2], -1)].append(c)
+    counts = _column_sums(state.occ, columns[:-1]).T
+    part, first = _group(counts)
     bounds = [0] + np.cumsum(np.bincount(part)).tolist()
-    return np.argsort(part, kind="stable"), code[first], bounds
-
-
-def _patterns(codes: np.ndarray, width: int) -> list[Pattern]:
-    """The detector counts that ``width``-group pattern codes hold."""
-    digits = codes[:, None] // _RADIX ** np.arange(width, dtype=np.int64) % _RADIX
-    return list(map(tuple, digits.tolist()))
+    return np.argsort(part, kind="stable"), counts[first], bounds
 
 
 def _norms(state: FockState, order: np.ndarray, bounds: list[int]) -> list[float]:
@@ -574,10 +554,10 @@ def partition(state: FockState, groups: Sequence[Group]) -> dict[Pattern, FockSt
     row lands, unchanged and in order, in the part keyed by its counts
     (parts in order of their first rows), so the parts are orthogonal.
     """
-    order, codes, bounds = _parts(state, groups)
+    order, patterns, bounds = _parts(state, groups)
     occ, amps = state.occ.take(order, axis=0), state.amps[order]
     return {key: FockState._of(state.modes, occ[lo:hi], amps[lo:hi])
-            for key, lo, hi in zip(_patterns(codes, len(groups)), bounds, bounds[1:])}
+            for key, lo, hi in zip(map(tuple, patterns.tolist()), bounds, bounds[1:])}
 
 
 def pattern_distribution(
@@ -587,8 +567,8 @@ def pattern_distribution(
     squared norm of each :func:`partition` part, in the same order, without
     building the parts.  Modes outside every group are marginalized; for a
     normalized state the probabilities sum to 1."""
-    order, codes, bounds = _parts(state, groups)
-    return dict(zip(_patterns(codes, len(groups)), _norms(state, order, bounds)))
+    order, patterns, bounds = _parts(state, groups)
+    return dict(zip(map(tuple, patterns.tolist()), _norms(state, order, bounds)))
 
 
 def project_port_counts(
@@ -596,9 +576,8 @@ def project_port_counts(
 ) -> tuple[FockState, float]:
     """Project onto fixed total photon number per port (any pol, any flavor).
 
-    Unlike :func:`post_select` the projected modes are kept, so the result
-    can keep evolving; this models heralding on a coincidence without
-    destroying the photons.
+    The projected modes are kept, so the result can keep evolving; this
+    models heralding on a coincidence without destroying the photons.
     """
     parts = partition(state, [(port, None) for port in counts])
     part = parts.get(tuple(counts.values()), FockState({}))

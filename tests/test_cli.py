@@ -298,6 +298,29 @@ class TestPercolateCommand:
         assert (out / "curves.csv").exists()
         assert not (out / "spanning.csv").exists()
 
+    SMALL = ["percolate", "--sizes", "6,8", "--trials", "2", "--grid", "0.4:0.9:0.1"]
+
+    def test_periodic_rerun_removes_the_open_run_spanning_table(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        (out / "sweep.csv").write_text("another subcommand's")
+        assert main(self.SMALL + ["--out", str(out)]) == 0
+        assert (out / "spanning.csv").exists()
+        assert main(self.SMALL + ["--boundary", "periodic", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "curves.csv", "notes.txt", "run_config.json", "sweep.csv", "threshold.json"
+        ]
+        assert (out / "notes.txt").read_text() == "mine"
+
+    def test_json_rerun_removes_the_csv_tables(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(self.SMALL + ["--out", str(out)]) == 0
+        assert main(self.SMALL + ["--format", "json", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "curves.json", "run_config.json", "spanning.json", "threshold.json"
+        ]
+
     @pytest.mark.parametrize(
         "flags, config",
         [

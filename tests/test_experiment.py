@@ -58,11 +58,11 @@ from fusionsim.fock import (
     occupation,
     partition,
     pattern_distribution,
-    post_select,
     project_port_counts,
     superpose,
     _parts,
 )
+from oracles import post_select
 
 SQ2 = math.sqrt(2)
 SQ6 = math.sqrt(6)

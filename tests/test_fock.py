@@ -23,15 +23,14 @@ from fusionsim.fock import (
     occupation,
     partition,
     pattern_distribution,
-    post_select,
     project_port_counts,
     superpose,
     vacuum,
     _group,
     _parts,
-    _patterns,
     _product,
 )
+from oracles import post_select
 
 SQ2 = math.sqrt(2)
 
@@ -351,15 +350,16 @@ class TestPatternDistribution:
 
 
 class TestPatternCodes:
-    """_parts keys rows by int64 codes whose base-(MAX_PHOTONS + 1) digits
-    are the photon counts per detection group."""
+    """_parts keys rows by pattern rows: one uint8 count per detection
+    group, the photons that group sees."""
 
     GROUPS = [(0, H), (1, None), (2, V), (3, H)]
 
-    def assert_codes_exact(self, state, groups):
-        order, codes, bounds = _parts(state, groups)
-        patterns = _patterns(codes, len(groups))
-        rows = list(state.terms)
+    def assert_rows_exact(self, state, groups):
+        order, rows, bounds = _parts(state, groups)
+        assert rows.dtype == np.uint8 and rows.shape == (len(bounds) - 1, len(groups))
+        patterns = list(map(tuple, rows.tolist()))
+        terms = list(state.terms)
         assert bounds[0] == 0 and bounds[-1] == len(state) == len(order)
         assert sorted(order.tolist()) == list(range(len(state)))
         assert len(set(patterns)) == len(patterns) == len(bounds) - 1
@@ -369,14 +369,14 @@ class TestPatternCodes:
             rows_in_part = order[lo:hi].tolist()
             assert rows_in_part == sorted(rows_in_part)
             for r in rows_in_part:
-                assert pattern == TestPartition.recount(rows[r], groups)
+                assert pattern == TestPartition.recount(terms[r], groups)
 
     @staticmethod
-    def random_state(rng, n=400):
-        """Rows of 0 to 8 photons over ports 0-4, flavors 0 and 1, some with
-        all 8 photons on the last group's mode; port 4, 2H and 3V are in no
-        group."""
-        modes = [Mode(port, pol, f) for port in range(5) for pol in (H, V) for f in (0, 1)]
+    def random_state(rng, n=400, ports=5):
+        """Rows of 0 to 8 photons over ``ports`` ports, flavors 0 and 1, some
+        with all 8 photons on mode 3H; the last port, 2H and 3V are in no
+        group of :attr:`GROUPS`."""
+        modes = [Mode(port, pol, f) for port in range(ports) for pol in (H, V) for f in (0, 1)]
         terms = {(): 0.5, ((Mode(3, H, 0), 5), (Mode(3, H, 1), 3)): 0.25}
         for _ in range(n):
             if rng.integers(10) == 0:
@@ -393,36 +393,40 @@ class TestPatternCodes:
         rng = np.random.default_rng(seed)
         state = self.random_state(rng)
         assert (state.occ.sum(axis=1) == MAX_PHOTONS).any()
-        self.assert_codes_exact(state, self.GROUPS)
-        self.assert_codes_exact(state, [(port, None) for port in range(5)])
-        self.assert_codes_exact(state, [(4, V)])
-        self.assert_codes_exact(state, [])
+        self.assert_rows_exact(state, self.GROUPS)
+        self.assert_rows_exact(state, [(port, None) for port in range(5)])
+        self.assert_rows_exact(state, [(4, V)])
+        self.assert_rows_exact(state, [])
 
     def test_eight_photons_in_the_top_digit(self):
         state = create_photons([(Mode(3, H, 0), 6), (Mode(3, H, 1), 2)])
-        _, codes, _ = _parts(state, self.GROUPS)
-        assert codes.tolist() == [MAX_PHOTONS * (MAX_PHOTONS + 1) ** 3]
+        _, rows, _ = _parts(state, self.GROUPS)
+        assert rows.tolist() == [[0, 0, 0, MAX_PHOTONS]]
         assert pattern_distribution(state, self.GROUPS) == {(0, 0, 0, 8): 1.0}
 
     def test_zero_row_state(self):
         state = FockState({})
-        order, codes, bounds = _parts(state, self.GROUPS)
-        assert (order.tolist(), codes.tolist(), bounds) == ([], [], [0])
+        order, rows, bounds = _parts(state, self.GROUPS)
+        assert (order.tolist(), rows.shape, bounds) == ([], (0, len(self.GROUPS)), [0])
         assert pattern_distribution(state, self.GROUPS) == {}
         assert partition(state, self.GROUPS) == {}
 
-    def test_codes_fit_int64_up_to_19_groups(self):
-        groups = [(port, None) for port in range(19)]
+    @pytest.mark.parametrize("width", [19, 20, 40])
+    def test_many_groups(self, width):
+        """Any number of groups: a pattern row spans several of _group's
+        64-bit words from 17 groups on."""
+        groups = [(port, None) for port in range(width)]
         state = superpose([
-            (1.0, create_photons([(Mode(18, V), MAX_PHOTONS)])),
-            (1.0, create_photons([(Mode(port, H), 1) for port in range(11, 19)])),
+            (1.0, create_photons([(Mode(width - 1, V), MAX_PHOTONS)])),
+            (1.0, create_photons([(Mode(port, H), 1) for port in range(width - 8, width)])),
         ])
-        self.assert_codes_exact(state, groups)
+        self.assert_rows_exact(state, groups)
         assert list(pattern_distribution(state, groups)) == [
-            (0,) * 18 + (MAX_PHOTONS,), (0,) * 11 + (1,) * 8
+            (0,) * (width - 1) + (MAX_PHOTONS,), (0,) * (width - 8) + (1,) * 8
         ]
-        with pytest.raises(ValueError, match="int64"):
-            pattern_distribution(state, [(port, None) for port in range(20)])
+        many = self.random_state(np.random.default_rng(width), ports=width)
+        self.assert_rows_exact(many, groups)
+        self.assert_rows_exact(many, [(port, pol) for port in range(width) for pol in (H, V)])
 
 
 class TestPartition:

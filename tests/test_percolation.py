@@ -273,6 +273,19 @@ class TestMergeOrder:
                 together = sorted(map(tuple, [*prefix.tolist(), *window.tolist()]))
                 assert together == in_effect
 
+    def test_steps_beyond_uint32_rejected(self, monkeypatch):
+        """Merge steps are uint32, so a sweep of 2**32 elements would wrap;
+        it is refused before the trial's permutation of M is drawn."""
+        lat = Lattice(2**16, "open", np.empty((0, 2), dtype=np.int64))
+        assert n_elements(lat, PercModel()) == 2**32
+
+        def no_draw(seed, trial):
+            raise AssertionError("the permutation of 2**32 elements was drawn")
+
+        monkeypatch.setattr(percolation, "trial_rng", no_draw)
+        with pytest.raises(ValueError, match="uint32"):
+            percolation._merge_order(lat, PercModel(), 0, 0, 0, 2**32)
+
 
 class TestPrefixRoots:
     @staticmethod
