@@ -180,11 +180,12 @@ def ppnrd_response(n: int, config: PPNRDConfig) -> list[float]:
     k = config.fanout
     eta = config.efficiency
     probs = [0.0] * (k + 1)
-    for d in range(n + 1):
+    # At efficiency 1 (or 0) every other count's term is exactly 0.0.
+    for d in (n,) if eta == 1.0 else (0,) if eta == 0.0 else range(n + 1):
         try:
             p_detected = math.comb(n, d) * eta**d * (1.0 - eta) ** (n - d)
-        except OverflowError:  # C(n, d) exceeds every float, so 0 < d < n
-            p_detected = 0.0 if eta in (0.0, 1.0) else math.exp(
+        except OverflowError:  # C(n, d) exceeds every float, so 0 < eta < 1
+            p_detected = math.exp(
                 math.log(math.comb(n, d)) + d * math.log(eta) + (n - d) * math.log1p(-eta))
         if p_detected == 0.0:
             continue

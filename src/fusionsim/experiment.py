@@ -36,6 +36,7 @@ import numpy as np
 
 from .fock import (
     H,
+    POLARIZATIONS,
     V,
     BeamSplitter,
     ElementaryOp,
@@ -48,10 +49,9 @@ from .fock import (
     apply_network,
     apply_op,
     compose,
-    create_photons,
+    occupation,
     pattern_distribution,
     project_port_counts,
-    superpose,
     _column_sums,
     _group,
     _norms,
@@ -164,10 +164,9 @@ def single_photon(
     port: int, pol_amplitudes: Mapping[str, complex], flavor: int = 0
 ) -> FockState:
     """One photon on ``port`` in a polarization superposition."""
-    return superpose(
-        (c_pol, create_photons([(Mode(port, pol, flavor), 1)]))
-        for pol, c_pol in pol_amplitudes.items()
-    )
+    if unknown := set(pol_amplitudes) - set(POLARIZATIONS):
+        raise ValueError(f"unknown polarization {unknown.pop()!r}")
+    return FockState({((Mode(port, pol, flavor), 1),): c for pol, c in pol_amplitudes.items()})
 
 
 _PLUS = {H: 1 / math.sqrt(2), V: 1 / math.sqrt(2)}
@@ -196,15 +195,11 @@ def bell_state(
     """
     if port_x == port_y:
         raise ValueError("Bell state needs two distinct ports")
-    return _read_only(superpose(
-        (
-            sign / math.sqrt(2),
-            create_photons(
-                [(Mode(port_x, pol_x, flavor_x), 1), (Mode(port_y, pol_y, flavor_y), 1)]
-            ),
-        )
+    return _read_only(FockState({
+        occupation([(Mode(port_x, pol_x, flavor_x), 1), (Mode(port_y, pol_y, flavor_y), 1)]):
+            sign / math.sqrt(2)
         for pol_x, pol_y, sign in _BELL_TERMS[label]
-    ))
+    }))
 
 
 @lru_cache(maxsize=64)
@@ -359,8 +354,7 @@ def _bell_input(
     """A Bell state on the fused ports (photons 2 and 3) plus the physical
     ancillas; nothing is post-selected, so the probability is 1."""
     pair = bell_state(PORT_FUSE_A, PORT_FUSE_B, label, flavors[2], flavors[3])
-    states = [pair] + (_ancillas(flavors) if ancilla_enabled else [])
-    return compose(*states), 1.0
+    return compose(pair, *(_ancillas(flavors) if ancilla_enabled else ())), 1.0
 
 
 def _prepared(fusion_input: BellLabel | str, config: ExperimentConfig) -> list:

@@ -16,6 +16,7 @@ by its counts packed four bits each into 64-bit words and numbers equal
 keys by sorting them.  Evolution, :func:`compose` and :func:`superpose` sum
 equal rows in the order a term-by-term loop would, with complex products
 rounded as Python rounds them, so results are reproducible to the bit.
+:func:`compose` folds from its first factor: one factor is its own product.
 Detectors are flavor-blind: a detector pattern is a row of counts, the
 photons each detection group sees (a sum of occupation columns), and
 :func:`_group` numbers pattern rows as it numbers occupation rows.  One
@@ -441,7 +442,10 @@ def apply_op(state: FockState | tuple[FockState, ...], op: ElementaryOp):
 
     kind, first = _group(occ[:, acted])
     subs = tuple(map(tuple, occ[first][:, acted].tolist()))
-    mono, weight, lengths, monomial = _monomials(op, tuple(modes[c] for c in acted), subs)
+    # Elements treat flavors alike: key by rank, a relabel that keeps every order.
+    rank = {f: i for i, f in enumerate(sorted({modes[c].flavor for c in acted}))}
+    keyed = tuple(Mode(modes[c].port, modes[c].pol, rank[modes[c].flavor]) for c in acted)
+    mono, weight, lengths, monomial = _monomials(op, keyed, subs)
 
     # Output candidate j pairs input row[j] with monomial pick[j], in term-loop order.
     per_row = lengths[kind]
@@ -590,15 +594,15 @@ _SQRT_BINOM = np.sqrt([[math.comb(p + n, n) for n in range(MAX_PHOTONS + 1)]
 
 
 def compose(*states: FockState) -> FockState:
-    """Bosonic product of independently prepared states.
-
-    Creation operators of coinciding modes stack with the proper
-    sqrt(binomial) weights, so composing |1_m> with |1_m> yields |2_m>
-    with the correct normalization.  The ``MAX_PHOTONS`` cap applies to
-    the combined state.
+    """Bosonic product of independently prepared states, folded from the
+    first factor: a one-factor product is that factor, rows and amplitude
+    bits unchanged, and no factor gives the vacuum.  Creation operators of
+    coinciding modes stack with the proper sqrt(binomial) weights, so
+    composing |1_m> with |1_m> yields |2_m> with the correct
+    normalization.  The ``MAX_PHOTONS`` cap applies to the combined state.
     """
-    result = vacuum()
-    for state in states:
+    result, *rest = states or (vacuum(),)
+    for state in rest:
         modes = tuple(sorted(set(result.modes).union(state.modes)))
         a, b = _widened(result, modes), _widened(state, modes)
         occ = (a[:, None, :] + b[None, :, :]).reshape(-1, len(modes))

@@ -104,6 +104,15 @@ class TestPPNRD:
         got = resolve_probability(n, PPNRDConfig(k, eta))
         assert abs(got / expected - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("eta, d", [(1.0, 200), (0.0, 0)])
+    def test_certain_registration_builds_one_binomial(self, monkeypatch, eta, d):
+        """At efficiency 1 (or 0) only d = n (or d = 0) photons register, so
+        C(n, d) is built for that d alone, not for all n + 1."""
+        built, comb = [], math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: built.append((n, k)) or comb(n, k))
+        ppnrd_response(200, PPNRDConfig(4, eta))
+        assert [pair for pair in built if pair[0] == 200] == [(200, d)]
+
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):
             ppnrd_response(-1, PPNRDConfig())

@@ -42,7 +42,7 @@ from fusionsim.experiment import (
     _pair_densities,
     _prepared,
 )
-from fusionsim import detection, experiment
+from fusionsim import detection, experiment, fock
 from fusionsim.fock import (
     H,
     V,
@@ -522,6 +522,29 @@ def shared_wave_packet(config: ExperimentConfig, i: int, j: int) -> float:
 
 class TestFlavorAssignment:
     """Each flavor branch gives every photon exactly one wave packet."""
+
+    def test_renamed_private_flavors_evolve_alike(self):
+        """Elements treat flavors alike, so a Bell input whose private
+        flavors are renamed in order evolves to the same bits, off the
+        monomials that the first evolution cached."""
+        network = build_fusion_network(ExperimentConfig())
+
+        def bell_input(scale):
+            f = {2: 2 * scale, 3: 0, 5: 5 * scale, 6: 0, 7: 7 * scale, 8: 8 * scale}
+            return compose(
+                bell_state(PORT_FUSE_A, PORT_FUSE_B, BellLabel.PHI_PLUS, f[2], f[3]),
+                prepare_noon_pair(PORT_ANCILLA_A, 6, (f[5], f[6])),
+                prepare_noon_pair(PORT_ANCILLA_B, 8, (f[7], f[8])),
+            )
+
+        first, renamed = bell_input(1), bell_input(10)
+        first = apply_network(first, network)
+        misses = fock._monomials.cache_info().misses
+        renamed = apply_network(renamed, network)
+        assert fock._monomials.cache_info().misses == misses
+        assert renamed.modes == tuple(m._replace(flavor=10 * m.flavor) for m in first.modes)
+        assert renamed.occ.tobytes() == first.occ.tobytes()
+        assert renamed.amps.tobytes() == first.amps.tobytes()
 
     def test_perfect_overlap_single_component(self):
         branches = flavor_branches((1, 2, 3), ExperimentConfig(overlap=1.0))

@@ -30,7 +30,7 @@ from fusionsim.fock import (
     _parts,
     _product,
 )
-from oracles import post_select
+from oracles import bosonic_product, post_select
 
 SQ2 = math.sqrt(2)
 
@@ -601,6 +601,23 @@ class TestInvariants:
         one = create_photons([(Mode(0, H), 1)])
         two = compose(one, one)
         assert abs(two.amplitude(occupation({Mode(0, H): 2})) - SQ2) < 1e-12
+
+    def test_compose_of_one_factor_is_that_factor(self):
+        # A -0.0 imaginary part survives: no seed product touches the bits.
+        state = FockState({occupation({Mode(0, H): 1}): complex(0.6, -0.0),
+                           occupation({Mode(1, V): 1}): complex(-0.8, -0.0)})
+        alone = compose(state)
+        assert alone.modes == state.modes
+        assert alone.occ.tobytes() == state.occ.tobytes()
+        assert alone.amps.tobytes() == state.amps.tobytes()
+        assert compose() == vacuum()
+
+    def test_compose_matches_term_by_term_product(self):
+        rng = np.random.default_rng(25)
+        states = [random_state(rng, ports=(0, 1), total=2) for _ in range(3)]
+        got = compose(*states)
+        assert list(got.terms.items()) == list(bosonic_product(*states).items())
+        assert any(n > 1 for row in got.occ.tolist() for n in row)
 
     def test_compose_respects_photon_cap(self):
         five = create_photons([(Mode(0, H), 5)])
