@@ -40,6 +40,10 @@ from .experiment import BellLabel, ExperimentConfig
 
 CSV_SCHEMA_PREFIX = "# fusionsim"
 
+#: Most points a sweep or percolate grid may hold, checked before any grid
+#: array is built: 100x the default percolate grid, and 0:1:0.0001 fits.
+MAX_GRID_POINTS = 10_001
+
 
 class ConfigError(ValueError):
     """Invalid or out-of-range run configuration."""
@@ -113,8 +117,8 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"bad grid {text!r}: {exc}") from exc
-        if count < 1:
-            raise ConfigError("grid count must be at least 1")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise ConfigError(f"grid count must lie in [1, {MAX_GRID_POINTS}]")
         return [float(x) for x in np.linspace(start, stop, count)]
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -287,8 +291,8 @@ class SweepRunConfig:
     def __post_init__(self):
         if self.kind not in ("phase", "visibility"):
             raise ValueError("sweep kind must be 'phase' or 'visibility'")
-        if self.grid is not None and not self.grid:
-            raise ValueError("sweep grid must hold at least one value")
+        if self.grid is not None and not 1 <= len(self.grid) <= MAX_GRID_POINTS:
+            raise ValueError(f"sweep grid must hold 1 to {MAX_GRID_POINTS} values")
         # The physics configs check the ranges, as for fusion.
         ExperimentConfig(overlap=self.visibility)
         for v in self.grid or ():
@@ -373,6 +377,9 @@ class PercolateRunConfig:
         if not 0.0 < self.p_step <= 1.0:
             raise ValueError("p_step must lie in (0, 1]")
         steps = (self.p_stop - self.p_start) / self.p_step
+        # round(steps) + 1 points; an infinite count stops here, not in round().
+        if not steps < MAX_GRID_POINTS - 0.5:
+            raise ValueError(f"the grid would hold more than {MAX_GRID_POINTS} points")
         if abs(steps - round(steps)) > 1e-6:
             raise ValueError("p_step must divide p_stop - p_start")
         if self.seed < 0:

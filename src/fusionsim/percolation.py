@@ -2,9 +2,10 @@
 
 One sweep draws a random order of the elements (bonds, or sites and
 bonds) and adds them one per step; the microcanonical records (largest
-cluster S_m, and whether a cluster spans first to last row, after m
-additions) are then converted to any fixed occupation probability p by a
-binomial convolution (Newman and Ziff).  ``sweep_curves`` thus gives the
+cluster S_m after m additions, and spanning, kept as one step per trial:
+the first at which a cluster joins the first and last rows) are then
+converted to any fixed occupation probability p by a binomial
+convolution (Newman and Ziff).  ``sweep_curves`` thus gives the
 whole curve of both observables from a single pass per trial (and
 ``size_sweeps`` does so per lattice size), which is what makes
 1000 x 1000 lattices practical.  Each trial is convolved onto the grid as
@@ -190,26 +191,25 @@ def run_trial(
     trial: int = 0,
     last_step: Optional[int] = None,
     first_step: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int]:
     """One microcanonical sweep: element m of the random order is added at
-    step m, and an observable after step m is recorded.  Returns
-    ``(largest, spanning)`` for steps ``first_step``..``last_step``
-    (default: the whole sweep of M elements), entry i holding step
-    ``first_step + i``.
+    step m.  Returns ``(largest, span)`` over steps ``first_step``..
+    ``last_step`` (default: the whole sweep of M elements).
 
-    ``largest`` is the largest-cluster size S_m (1 at step 0 in bond mode,
-    where isolated sites are clusters, and 0 in site-bond mode, where no
-    site is active yet), in the narrowest type that holds the site count.
-    ``spanning`` is the int8 0/1 indicator of a cluster touching both the
-    first and last row.
+    ``largest[i]`` is the largest-cluster size S_m at step ``first_step + i``
+    (1 at step 0 in bond mode, where isolated sites are clusters, and 0 in
+    site-bond mode, where no site is active yet), in the narrowest type
+    that holds the site count.  ``span`` is the first step at which a
+    cluster touches both the first and last row (spanning is monotone
+    under additions), or ``last_step + 1`` if none does by then.
 
     The bonds in effect by ``first_step`` are merged at once, unsorted, by
-    ``_prefix_roots``, which seeds the union-find with its components;
-    the rest are merged with union by size and path halving in order of
-    effective step, up to ``last_step``.  The largest-cluster record is
-    written where the largest cluster grows and forward-filled; the
-    spanning record switches on at the first merge that joins the two
-    rows, after which the row bits are no longer tracked.
+    ``_prefix_roots``, which seeds the union-find with its components
+    (``span`` is ``first_step`` if they join the two rows); the rest are
+    merged with union by size and path halving in order of effective
+    step, up to ``last_step``.  The largest-cluster record is written where
+    the largest cluster grows and forward-filled; after the merge that
+    sets ``span``, the row bits are no longer tracked.
     """
     m_total = n_elements(lattice, model)
     if last_step is None:
@@ -237,7 +237,7 @@ def run_trial(
     rows = np.zeros(n, dtype=np.int64)
     np.bitwise_or.at(rows, parent[:L], 1)
     np.bitwise_or.at(rows, parent[n - L :], 2)
-    spans = bool((rows == 3).any())
+    span = first_step if (rows == 3).any() else last_step + 1
     rows = rows.tolist()
     size = np.bincount(parent, minlength=n)
     biggest = int(size.max())
@@ -246,11 +246,8 @@ def run_trial(
     # np.zeros leaves the pages unwritten until the pass writes them
     # (np.zeros_like would write them all at once).
     largest = np.zeros(last_step - first_step + 1, dtype=np.min_scalar_type(n))
-    spanning = np.zeros(last_step - first_step + 1, dtype=np.int8)
     if first_site <= last_step:
         largest[max(first_site - first_step, 0)] = biggest
-    if spans:
-        spanning[:] = 1
     # The merge order becomes Python lists one chunk at a time, which
     # bounds their memory at large sizes.
     for lo in range(0, len(keys), _MERGE_CHUNK):
@@ -270,16 +267,15 @@ def run_trial(
                 u, v = v, u
             parent[v] = u
             size[u] += size[v]
-            if not spans:
+            if span > last_step:
                 rows[u] |= rows[v]
                 if rows[u] == 3:
-                    spanning[k:] = 1  # spanning is monotone under additions
-                    spans = True
+                    span = first_step + k
             if size[u] > biggest:
                 biggest = size[u]
                 largest[k] = biggest
     np.maximum.accumulate(largest, out=largest)
-    return largest, spanning
+    return largest, span
 
 
 def binomial_window(m_total: int, p: float) -> tuple[int, np.ndarray]:
@@ -359,17 +355,17 @@ def _trial_values(
     """One trial's observables on the grid, in ``OBSERVABLES`` order.
 
     Each grid point is the binomial mixture of the per-step record over its
-    window; the records are dropped once they are convolved.
+    window (spanning is 1 from the span step on); each is then dropped.
     """
     shifted = [(start - first_step, weights) for start, weights in windows]
-    values = []
-    for record in run_trial(lattice, model, seed, trial, last_step, first_step):
-        # One float64 copy per record, not one cast slice per window.
-        record = record.astype(np.float64)
-        values.append(
-            np.array([w.dot(record[lo : lo + len(w)]) for lo, w in shifted])
-        )
-    return tuple(values)
+    largest, span = run_trial(lattice, model, seed, trial, last_step, first_step)
+    spanning = np.zeros(last_step - first_step + 1)
+    spanning[span - first_step :] = 1.0
+    # One float64 record each, not one cast slice per window.
+    return tuple(
+        np.array([w.dot(record[lo : lo + len(w)]) for lo, w in shifted])
+        for record in (largest.astype(np.float64), spanning)
+    )
 
 
 def sweep_curves(

@@ -184,6 +184,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_grid_over_the_point_cap_exits_2(self, tmp_path, monkeypatch):
+        """A count just over ``MAX_GRID_POINTS`` is refused before any grid
+        array is built, so a count of 10**9 cannot exhaust memory."""
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("a grid array was built")
+
+        monkeypatch.setattr(cli.np, "linspace", no_linspace)
+        out = tmp_path / "run"
+        grid = f"0:1:{cli.MAX_GRID_POINTS + 1}"
+        assert main(["sweep", "--kind", "visibility", "--grid", grid, "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestPercolateCommand:
     ARGS = [
@@ -271,6 +283,17 @@ class TestPercolateCommand:
         out = tmp_path / "run"
         assert main(["percolate", "--grid", "0.4:0.9:0.03", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_grid_over_the_point_cap_exits_2(self, tmp_path):
+        """A step just too fine for ``MAX_GRID_POINTS`` is refused before any
+        grid array is built; 0:1:0.0001 holds exactly the cap."""
+        assert len(PercolateRunConfig(p_step=0.0001).grid()) == cli.MAX_GRID_POINTS
+        out = tmp_path / "run"
+        step = 1 / cli.MAX_GRID_POINTS  # MAX_GRID_POINTS + 1 points
+        assert main(["percolate", "--grid", f"0:1:{step!r}", "--out", str(out)]) == 2
+        assert not out.exists()
+        # A subnormal step makes the count infinite, which round() cannot take.
+        assert main(["percolate", "--grid", "0:1:5e-324", "--out", str(out)]) == 2
 
     def test_never_crossing_grid_writes_null_threshold(self, tmp_path):
         out = tmp_path / "run"

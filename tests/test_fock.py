@@ -521,6 +521,22 @@ class TestGroup:
         assert (group.tolist(), first.tolist()) == ([0, 1, 0, 2, 1, 1], [0, 1, 3])
 
 
+def test_reprs():
+    """A mode prints as port and polarization, with a flavor other than the
+    common one after a dot; a state prints its first six terms in canonical
+    order, then its term count."""
+    assert repr(Mode(2, H)) == "2H"
+    assert repr(Mode(5, V, 6)) == "5V.6"
+    seven = FockState({((Mode(port, H), 1),): 0.5 for port in range(7)})
+    assert repr(seven) == (
+        " + ".join(f"(0.5+0j)|1@{port}H>" for port in range(6)) + " ... (7 terms)"
+    )
+    mixed = FockState({((Mode(0, H), 2), (Mode(1, V, 3), 1)): 0.25 - 0.5j})
+    assert repr(mixed) == "(0.25-0.5j)|2@0H,1@1V.3>"
+    assert repr(FockState({(): 1j})) == "(0+1j)|vac>"
+    assert repr(FockState({})) == "FockState(0)"
+
+
 def test_product_rounds_as_python():
     rng = np.random.default_rng(5)
     x, y = (rng.normal(size=20000) + 1j * rng.normal(size=20000) for _ in range(2))

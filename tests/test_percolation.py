@@ -112,21 +112,48 @@ def traversal_records(lat, mode, seed, trial):
     return largest, spanning
 
 
+def first_spanning(spanning, first_step=0, last_step=None):
+    """The ``span`` that ``run_trial`` reports over ``first_step``..
+    ``last_step``, read off a traversal's per-step 0/1 spanning list."""
+    last_step = len(spanning) - 1 if last_step is None else last_step
+    return next(
+        (m for m in range(first_step, last_step + 1) if spanning[m]), last_step + 1
+    )
+
+
+def labels_span(lat, mode, seed, trial, m):
+    """Whether the elements added in the first m steps of the trial's
+    random order join the first and last rows, by ``_component_labels``."""
+    n, m_total = lat.n_sites, n_elements(lat, PercModel(mode=mode))
+    present = np.zeros(m_total, dtype=bool)
+    present[trial_rng(seed, trial).permutation(m_total)[:m]] = True
+    site_on = np.ones(n, dtype=bool) if mode == "bond" else present[:n]
+    bond_on = present if mode == "bond" else present[n:]
+    live = bond_on & site_on[lat.bonds[:, 0]] & site_on[lat.bonds[:, 1]]
+    labels = percolation._component_labels(n, lat.bonds[live])
+    L = lat.length
+    tops = labels[:L][site_on[:L]]
+    bottoms = labels[n - L :][site_on[n - L :]]
+    return np.intersect1d(tops, bottoms).size > 0
+
+
 class TestRunTrial:
     def test_bond_mode_boundaries(self):
         lat = build_square_lattice(6, "open")
-        largest, spanning = run_trial(lat, PercModel(mode="bond"), seed=1)
-        assert len(largest) == len(spanning) == lat.n_bonds + 1
+        largest, span = run_trial(lat, PercModel(mode="bond"), seed=1)
+        assert len(largest) == lat.n_bonds + 1
         assert largest[0] == 1  # isolated sites are clusters
         assert largest[-1] == lat.n_sites
+        assert lat.length - 1 <= span <= lat.n_bonds  # a column of bonds at least
 
     def test_site_bond_boundaries(self):
         lat = build_square_lattice(6, "open")
         model = PercModel(mode="site-bond")
-        largest, spanning = run_trial(lat, model, seed=1)
-        assert len(largest) == len(spanning) == n_elements(lat, model) + 1
+        largest, span = run_trial(lat, model, seed=1)
+        assert len(largest) == n_elements(lat, model) + 1
         assert largest[0] == 0  # nothing active yet
         assert largest[-1] == lat.n_sites
+        assert 2 * lat.length - 1 <= span <= n_elements(lat, model)
 
     def test_record_bounded_by_sites(self):
         lat = build_square_lattice(5, "periodic")
@@ -144,15 +171,16 @@ class TestRunTrial:
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("mode", ["bond", "site-bond"])
     def test_every_step_against_traversal(self, mode, boundary):
-        """Entry m of both records of the pair matches a traversal of the
-        elements added in the first m steps of the trial's random order."""
+        """Entry m of the largest-cluster record matches a traversal of the
+        elements added in the first m steps of the trial's random order,
+        and ``span`` is the first step at which that traversal spans."""
         for side, trial in ((2, 0), (3, 1), (4, 2), (5, 3)):
             lat = build_square_lattice(side, boundary)
             model = PercModel(mode=mode)
-            largest, spanning = run_trial(lat, model, seed=11, trial=trial)
+            largest, span = run_trial(lat, model, seed=11, trial=trial)
             expected = traversal_records(lat, mode, seed=11, trial=trial)
             assert largest.tolist() == expected[0]
-            assert spanning.tolist() == expected[1]
+            assert span == first_spanning(expected[1])
 
     @pytest.mark.parametrize("boundary", ["open", "periodic"])
     @pytest.mark.parametrize("mode", ["bond", "site-bond"])
@@ -165,35 +193,35 @@ class TestRunTrial:
             m_total = n_elements(lat, model)
             expected = traversal_records(lat, mode, seed=12, trial=trial)
             for k in range(0, m_total + 1, max(1, m_total // 7)):
-                largest, spanning = run_trial(
+                largest, span = run_trial(
                     lat, model, seed=12, trial=trial, first_step=k
                 )
                 assert largest.tolist() == expected[0][k:]
-                assert spanning.tolist() == expected[1][k:]
+                assert span == first_spanning(expected[1], k)
 
     @pytest.mark.parametrize("mode", ["bond", "site-bond"])
     def test_last_step_truncates_the_full_records(self, mode):
         lat = build_square_lattice(7, "periodic")
         model = PercModel(mode=mode)
-        full = run_trial(lat, model, seed=8, trial=2)
+        whole, whole_span = run_trial(lat, model, seed=8, trial=2)
         for k in (0, 1, 17, n_elements(lat, model) // 2, n_elements(lat, model)):
-            cut = run_trial(lat, model, seed=8, trial=2, last_step=k)
-            for short, whole in zip(cut, full):
-                assert np.array_equal(short, whole[: k + 1])
+            largest, span = run_trial(lat, model, seed=8, trial=2, last_step=k)
+            assert np.array_equal(largest, whole[: k + 1])
+            assert span == min(whole_span, k + 1)
 
     @pytest.mark.parametrize("mode", ["bond", "site-bond"])
     def test_first_step_slices_the_full_records(self, mode):
         lat = build_square_lattice(7, "periodic")
         model = PercModel(mode=mode)
         m_total = n_elements(lat, model)
-        full = run_trial(lat, model, seed=8, trial=3)
+        whole, whole_span = run_trial(lat, model, seed=8, trial=3)
         order = trial_rng(8, 3).permutation(m_total)
         first_site = 0 if mode == "bond" else 1 + int(np.argmax(order < lat.n_sites))
         for k in (0, 1, first_site, m_total // 3, m_total // 2, m_total):
             for last in (k, (k + m_total) // 2, m_total):
-                cut = run_trial(lat, model, 8, 3, last_step=last, first_step=k)
-                for short, whole in zip(cut, full):
-                    assert np.array_equal(short, whole[k : last + 1])
+                largest, span = run_trial(lat, model, 8, 3, last_step=last, first_step=k)
+                assert np.array_equal(largest, whole[k : last + 1])
+                assert span == min(max(whole_span, k), last + 1)
 
     @pytest.mark.parametrize(
         "first_step, last_step",
@@ -207,27 +235,56 @@ class TestRunTrial:
             run_trial(lat, model, seed=1, last_step=last_step, first_step=first_step)
 
     def test_spanning_record_is_indicator(self):
+        """``span`` lies in ``[first_step, last_step + 1]``, and a full sweep
+        of an open lattice spans at or before its last step M."""
         lat = build_square_lattice(6, "open")
-        _, record = run_trial(lat, PercModel(), seed=3)
-        assert set(np.unique(record)) <= {0, 1}
-        assert record[-1] == 1
-        # once spanning, always spanning
-        first = int(np.argmax(record == 1))
-        assert record[first:].min() == 1
+        model = PercModel()
+        m_total = n_elements(lat, model)
+        _, span = run_trial(lat, model, seed=3)
+        assert type(span) is int and 0 < span <= m_total
+        for first, last in ((0, 0), (0, span - 1), (0, span), (span, span),
+                            (span + 1, m_total), (m_total // 3, 2 * m_total // 3)):
+            _, cut = run_trial(lat, model, 3, last_step=last, first_step=first)
+            assert first <= cut <= last + 1
+
+    @pytest.mark.parametrize("mode", ["bond", "site-bond"])
+    def test_span_against_component_labels(self, mode):
+        """At sizes the traversal cannot reach, ``span`` from any
+        ``first_step`` is the first spanning step, found by bisection over
+        steps with the independent labeller ``_component_labels``."""
+        for side in (6, 11, 20):
+            lat = build_square_lattice(side, "open")
+            model = PercModel(mode=mode)
+            m_total = n_elements(lat, model)
+            for trial in range(4):
+                below, first = 0, m_total  # nothing spans at 0, all at M
+                while first - below > 1:
+                    mid = (below + first) // 2
+                    if labels_span(lat, mode, 5, trial, mid):
+                        first = mid
+                    else:
+                        below = mid
+                for f in {0, m_total // 3, first, min(first + 1, m_total)}:
+                    assert run_trial(lat, model, 5, trial, first_step=f)[1] == max(first, f)
+                for f in {0, min(m_total // 3, first - 1)}:
+                    _, span = run_trial(
+                        lat, model, 5, trial, last_step=first - 1, first_step=f
+                    )
+                    assert span == first  # last_step + 1: no span by then
 
     @pytest.mark.parametrize(
         "side, dtype", [(15, np.uint8), (16, np.uint16), (256, np.uint32)]
     )
     def test_records_are_narrow(self, side, dtype):
         """``largest`` takes the narrowest type that holds the site count
-        (225 fits uint8, 256 does not) and ``spanning`` int8, so a step
-        costs 2, 3 or 5 bytes instead of 16."""
+        (225 fits uint8, 256 does not) and spanning is the one integer
+        ``span``, so a step costs 1, 2 or 4 bytes instead of 16."""
         lat = build_square_lattice(side, "open")
         model = PercModel()
         mid = n_elements(lat, model) // 2
-        largest, spanning = run_trial(lat, model, 4, first_step=mid, last_step=mid + 9)
-        assert largest.dtype == dtype and spanning.dtype == np.int8
-        assert largest.nbytes + spanning.nbytes == 10 * (np.dtype(dtype).itemsize + 1)
+        largest, span = run_trial(lat, model, 4, first_step=mid, last_step=mid + 9)
+        assert largest.dtype == dtype and type(span) is int
+        assert largest.nbytes == 10 * np.dtype(dtype).itemsize
 
 
 def effective_steps(lat, mode, seed, trial):
