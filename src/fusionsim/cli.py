@@ -364,8 +364,9 @@ class PercolateRunConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.sizes or min(self.sizes) < 2 or len(set(self.sizes)) < len(self.sizes):
-            raise ValueError("sizes must be distinct and all at least 2")
+        if (not self.sizes or len(set(self.sizes)) < len(self.sizes)
+                or not 2 <= min(self.sizes) <= max(self.sizes) <= percolation.MAX_SIDE):
+            raise ValueError(f"sizes must be distinct and lie in [2, {percolation.MAX_SIDE}]")
         if self.mode not in percolation.MODES:
             raise ValueError(f"mode must be one of {percolation.MODES}")
         if self.boundary not in percolation.BOUNDARIES:
@@ -440,27 +441,21 @@ def cmd_percolate(args) -> int:
         fraction_curves = {L: curves["fraction"] for L, curves in sweeps.items()}
         spanning_curves = {L: curves["spanning"] for L, curves in sweeps.items()}
 
-        threshold_payload: dict = {
-            "estimate": None,
-            "method": "unavailable (need at least two sizes)",
-            "sizes": list(cfg.sizes),
-        }
-        if cfg.boundary != "open":
-            threshold_payload["method"] = (
-                "unavailable (periodic boundary: the first and last rows are neighbours)"
-            )
-        elif len(cfg.sizes) >= 2:
-            try:
-                estimate = percolation.estimate_threshold(list(spanning_curves.values()))
-            except percolation.NoCrossingError as exc:
-                threshold_payload["method"] = f"unavailable (spanning {exc})"
-            else:
-                threshold_payload = {
-                    **asdict(estimate),
-                    "observable": "spanning",
-                    # String keys: json sorts int keys as ints (8 before 12).
-                    "crossings": {str(k): v for k, v in estimate.crossings.items()},
-                }
+        try:
+            estimate = percolation.estimate_threshold(list(spanning_curves.values()))
+        except percolation.NoThresholdError as exc:
+            threshold_payload = {
+                "estimate": None,
+                "method": f"unavailable ({exc})",
+                "sizes": list(cfg.sizes),
+            }
+        else:
+            threshold_payload = {
+                **asdict(estimate),
+                "observable": "spanning",
+                # String keys: json sorts int keys as ints (8 before 12).
+                "crossings": {str(k): v for k, v in estimate.crossings.items()},
+            }
 
         header = ("L", "boundary", "mode", "p", "mean_fraction", "stderr", "trials", "seed")
         tables = [("curves", "largest-cluster v1", fraction_curves)]

@@ -57,6 +57,10 @@ SITE_BOND_EQUAL_THRESHOLD = 0.74045
 #: Exact bond-percolation threshold of the square lattice (self-duality).
 BOND_THRESHOLD = 0.5
 
+#: Largest lattice side: the site-bond periodic sweep's 3L^2 elements
+#: still number their steps in uint32 (see ``_merge_order``).
+MAX_SIDE = math.isqrt((2**32 - 1) // 3)
+
 #: Bonds of the merge order converted to Python lists at a time.
 _MERGE_CHUNK = 1 << 12
 
@@ -84,8 +88,8 @@ class Lattice:
 
 def build_square_lattice(length: int, boundary: str = "open") -> Lattice:
     """Square lattice; open boundaries give 2L(L-1) bonds, periodic 2L^2."""
-    if length < 2:
-        raise ValueError("lattice side must be at least 2")
+    if not 2 <= length <= MAX_SIDE:
+        raise ValueError(f"lattice side must lie in [2, {MAX_SIDE}]")
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}")
     L = length
@@ -507,8 +511,8 @@ def direct_monte_carlo(
     return mean, stderr
 
 
-class NoCrossingError(ValueError):
-    """A curve that never crosses one half on its grid."""
+class NoThresholdError(ValueError):
+    """Curves that give no threshold; the message is the reason."""
 
 
 @dataclass(frozen=True)
@@ -531,7 +535,7 @@ def _half_crossing(p_grid: np.ndarray, mean: np.ndarray) -> float:
         return float((p_grid[flat[0]] + p_grid[flat[-1]]) / 2.0)
     below = np.nonzero(mean < level)[0]
     if len(below) == 0 or below[-1] + 1 >= len(mean):
-        raise NoCrossingError("curve never crosses 0.5 on the grid")
+        raise NoThresholdError("spanning curve never crosses 0.5 on the grid")
     i = below[-1]
     p0, p1 = p_grid[i], p_grid[i + 1]
     y0, y1 = mean[i], mean[i + 1]
@@ -550,15 +554,15 @@ def estimate_threshold(curves: Sequence[SweepCurve]) -> ThresholdEstimate:
 
     The secondary slope-peak location is reported as a diagnostic; with at
     least two sizes the crossings of the smaller sizes come along for
-    finite-size comparisons.  Raises :class:`NoCrossingError` when any
-    curve never crosses one half on its grid, and ``ValueError`` for a
-    periodic curve: its wrap bonds make the first and last rows
-    neighbours, so one bond already "spans" them.
+    finite-size comparisons.  Raises :class:`NoThresholdError`, checked in
+    this order: a periodic curve (wrap bonds make the first and last rows
+    neighbours, so one bond already "spans" them), fewer than two sizes,
+    and a curve that never crosses one half on its grid.
     """
-    if len(curves) < 2:
-        raise ValueError("need curves for at least two lattice sizes")
     if any(c.boundary != "open" for c in curves):
-        raise ValueError("a spanning threshold needs open boundaries")
+        raise NoThresholdError("periodic boundary: the first and last rows are neighbours")
+    if len(curves) < 2:
+        raise NoThresholdError("need at least two sizes")
     ordered = sorted(curves, key=lambda c: c.length)
     crossings = {c.length: _half_crossing(c.p_grid, c.mean) for c in ordered}
     largest = ordered[-1]

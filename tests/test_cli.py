@@ -262,6 +262,22 @@ class TestPercolateCommand:
     def test_invalid_sizes_exit_2(self, tmp_path):
         assert main(["percolate", "--sizes", "1,4", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("sizes", ["70000", "37838", "8,37838"])
+    def test_side_over_the_cap_exits_2(self, tmp_path, monkeypatch, sizes):
+        """A side above ``percolation.MAX_SIDE`` is refused by the config,
+        before any sweep could ask for gigabytes of lattice."""
+
+        def no_sweeps(*args, **kwargs):
+            pytest.fail("size_sweeps ran for a side over the cap")
+
+        monkeypatch.setattr(percolation, "size_sweeps", no_sweeps)
+        out = tmp_path / "run"
+        assert main(["percolate", "--sizes", sizes, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_side_at_the_cap_is_valid(self):
+        assert PercolateRunConfig(sizes=(37837,)).sizes == (percolation.MAX_SIDE,)
+
     def test_invalid_grid_exit_2(self, tmp_path):
         assert main(["percolate", "--grid", "0.9:0.1:0.05", "--out", str(tmp_path)]) == 2
 
@@ -320,6 +336,32 @@ class TestPercolateCommand:
         assert "periodic" in threshold["method"]
         assert (out / "curves.csv").exists()
         assert not (out / "spanning.csv").exists()
+
+    PERIODIC = "periodic boundary: the first and last rows are neighbours"
+
+    @pytest.mark.parametrize(
+        "flags, reason, sizes",
+        [
+            (["--sizes", "8"], "need at least two sizes", [8]),
+            (["--sizes", "6,8", "--boundary", "periodic"], PERIODIC, [6, 8]),
+            (["--sizes", "8", "--boundary", "periodic"], PERIODIC, [8]),
+            (["--sizes", "6,8", "--grid", "0.1:0.2:0.05"],
+             "spanning curve never crosses 0.5 on the grid", [6, 8]),
+        ],
+        ids=["one-size", "periodic", "periodic-one-size", "never-crossing"],
+    )
+    def test_no_threshold_file_is_exact(self, tmp_path, flags, reason, sizes):
+        """Every reason a run has no threshold, with the periodic one first,
+        pinned byte for byte."""
+        out = tmp_path / "run"
+        args = ["percolate", "--trials", "2", "--grid", "0.4:0.9:0.1", *flags]
+        assert main(args + ["--out", str(out)]) == 0
+        listed = ",\n".join(f"    {L}" for L in sizes)
+        assert (out / "threshold.json").read_text() == (
+            '{\n  "estimate": null,\n'
+            f'  "method": "unavailable ({reason})",\n'
+            f'  "sizes": [\n{listed}\n  ]\n}}\n'
+        )
 
     SMALL = ["percolate", "--sizes", "6,8", "--trials", "2", "--grid", "0.4:0.9:0.1"]
 

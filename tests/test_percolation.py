@@ -54,6 +54,20 @@ class TestLattice:
         with pytest.raises(ValueError):
             build_square_lattice(1)
 
+    def test_side_over_the_cap_rejected_before_allocating(self, monkeypatch):
+        """``MAX_SIDE`` is the largest side whose site-bond periodic sweep
+        (3L^2 elements) numbers its steps in uint32; one more is refused
+        before the site index is built."""
+        cap = percolation.MAX_SIDE
+        assert 3 * cap**2 < 2**32 <= 3 * (cap + 1) ** 2
+
+        def no_arange(*args, **kwargs):
+            pytest.fail("the lattice was allocated")
+
+        monkeypatch.setattr(percolation.np, "arange", no_arange)
+        with pytest.raises(ValueError, match=str(cap)):
+            build_square_lattice(cap + 1)
+
     def test_bad_boundary_rejected(self):
         with pytest.raises(ValueError):
             build_square_lattice(4, "twisted")
@@ -622,7 +636,7 @@ class TestThresholdEstimation:
         periodic spanning curve has no threshold to report."""
         small = synthetic_curve([0.4, 0.5, 0.6], [0.2, 0.4, 0.9], length=8)
         large = replace(small, length=16, boundary="periodic")
-        with pytest.raises(ValueError, match="open boundaries"):
+        with pytest.raises(ValueError, match="periodic boundary"):
             estimate_threshold([small, large])
 
     def test_slope_peak(self):
