@@ -160,38 +160,30 @@ def success_probability(config: ExperimentConfig) -> OutcomeStats:
 # --------------------------------------------------------------------------
 
 
-def _surjections(d: int, c: int) -> int:
-    """Number of ways d labelled photons cover exactly c labelled cells."""
-    return sum(
-        (-1) ** j * math.comb(c, j) * (c - j) ** d for j in range(c + 1)
-    )
-
-
 def ppnrd_response(n: int, config: PPNRDConfig) -> list[float]:
     """Click-count distribution for ``n`` photons on one detector group.
 
     Each photon independently registers with the sub-detector efficiency
-    and lands on one of ``fanout`` sub-detectors uniformly; the click count
-    is the number of distinct sub-detectors hit by registered photons.
-    Index c of the returned list is P(c clicks); the list sums to 1.
+    a/b and lands on one of k = ``fanout`` sub-detectors uniformly; the
+    click count is the number of distinct sub-detectors hit by registered
+    photons.  A photon misses every cell outside m given ones with
+    probability (k(b - a) + a m)/(kb), so by inclusion-exclusion over the
+    fired cells, for c <= min(n, k),
+        P(c) = C(k, c) sum_j (-1)^j C(c, j) (k(b - a) + a(c - j))^n / (kb)^n,
+    and the integer sum is the c-th forward difference of (k(b - a) + a m)^n
+    at m = 0.  Index c of the returned list is P(c clicks), correctly
+    rounded, so the list sums to 1 up to rounding.
     """
     if n < 0:
         raise ValueError("photon number must be non-negative")
     k = config.fanout
-    eta = config.efficiency
+    a, b = config.efficiency.as_integer_ratio()
+    diffs = [(k * (b - a) + a * m) ** n for m in range(min(n, k) + 1)]
+    total = (k * b) ** n
     probs = [0.0] * (k + 1)
-    # At efficiency 1 (or 0) every other count's term is exactly 0.0.
-    for d in (n,) if eta == 1.0 else (0,) if eta == 0.0 else range(n + 1):
-        try:
-            p_detected = math.comb(n, d) * eta**d * (1.0 - eta) ** (n - d)
-        except OverflowError:  # C(n, d) exceeds every float, so 0 < eta < 1
-            p_detected = math.exp(
-                math.log(math.comb(n, d)) + d * math.log(eta) + (n - d) * math.log1p(-eta))
-        if p_detected == 0.0:
-            continue
-        for c in range(min(d, k) + 1):
-            p_cells = math.comb(k, c) * _surjections(d, c) / k**d
-            probs[c] += p_detected * p_cells
+    for c in range(min(n, k) + 1):
+        probs[c] = math.comb(k, c) * diffs[0] / total
+        diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
     return probs
 
 

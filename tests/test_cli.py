@@ -184,6 +184,22 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--grid", "0:1"], None),
+            (["--grid", "a:b:3"], None),
+            (["--grid", "1,x"], None),
+            ([], {"kind": "x"}),
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, flags, config):
+        args = ["sweep", *flags, "--out", str(tmp_path / "run")]
+        if config is not None:
+            args += ["--config", write_config(tmp_path, config)]
+        assert main(args) == 2
+        assert not (tmp_path / "run").exists()
+
     def test_grid_over_the_point_cap_exits_2(self, tmp_path, monkeypatch):
         """A count just over ``MAX_GRID_POINTS`` is refused before any grid
         array is built, so a count of 10**9 cannot exhaust memory."""
@@ -396,6 +412,11 @@ class TestPercolateCommand:
             (["--grid", "0.4:x:0.1"], None),
             (["--sizes", "4,4", "--trials", "2", "--grid", "0.2:0.8:0.3"], None),
             (["--sizes", "4,4,6", "--trials", "2", "--grid", "0.2:0.8:0.3"], None),
+            ([], [1, 2]),
+            ([], {"mode": "x"}),
+            ([], {"boundary": "x"}),
+            ([], {"threads": 0}),
+            (["--grid", "0:1:1.5"], None),
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, flags, config):
@@ -434,6 +455,18 @@ class TestSmallCommands:
 
     def test_ppnrd_validation_exit_2(self, tmp_path):
         assert main(["ppnrd", "--n", "-2", "--out", str(tmp_path)]) == 2
+
+    def test_failure_without_a_message_names_its_type(self, tmp_path, monkeypatch, capsys):
+        """A fanout too large for memory raises a bare MemoryError; stderr
+        names the type rather than printing an empty message."""
+        def out_of_memory(n, config):
+            raise MemoryError()
+
+        monkeypatch.setattr(detection, "ppnrd_response", out_of_memory)
+        out = tmp_path / "run"
+        assert main(["ppnrd", "--n", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
 
 
 def write_config(tmp_path, config):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +52,23 @@ def brute_force_clicks(n: int, k: int, eta: float) -> list[float]:
     return probs
 
 
+def surjections(d: int, c: int) -> int:
+    """Number of ways d labelled photons cover exactly c labelled cells."""
+    return sum((-1) ** j * math.comb(c, j) * (c - j) ** d for j in range(c + 1))
+
+
+def exact_clicks(n: int, k: int, eta: float) -> list[Fraction]:
+    """Exact click-count distribution: the sum over registered photon
+    counts d of Binom(n, d; eta) C(k, c) surj(d, c) / k^d."""
+    eta = Fraction(eta)
+    probs = [Fraction(0)] * (k + 1)
+    for d in range(n + 1):
+        p_detected = math.comb(n, d) * eta**d * (1 - eta) ** (n - d)
+        for c in range(min(d, k) + 1):
+            probs[c] += p_detected * Fraction(math.comb(k, c) * surjections(d, c), k**d)
+    return probs
+
+
 class TestPPNRD:
     def test_no_photons(self):
         assert ppnrd_response(0, PPNRDConfig()) == [1.0, 0.0, 0.0, 0.0, 0.0]
@@ -85,7 +103,7 @@ class TestPPNRD:
 
     @pytest.mark.parametrize("eta", [1.0, 0.72])
     def test_large_photon_number(self, eta):
-        """C(2000, d) overflows a float, yet the distribution sums to 1, and
+        """Past float range (4**2000), the distribution sums to 1, and
         three clicks keep their closed form: each photon misses one given
         cell with probability 1 - eta/4, and three cells missed at once
         (2 clicks or fewer) are far below double precision."""
@@ -104,14 +122,36 @@ class TestPPNRD:
         got = resolve_probability(n, PPNRDConfig(k, eta))
         assert abs(got / expected - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("eta, d", [(1.0, 200), (0.0, 0)])
-    def test_certain_registration_builds_one_binomial(self, monkeypatch, eta, d):
-        """At efficiency 1 (or 0) only d = n (or d = 0) photons register, so
-        C(n, d) is built for that d alone, not for all n + 1."""
+    @pytest.mark.parametrize("eta", [1.0, 0.0, 0.72])
+    def test_no_binomial_over_the_photon_number(self, monkeypatch, eta):
+        """The sum runs over fired cells, not registered photon counts, so
+        no C(n, d) is built at any efficiency."""
         built, comb = [], math.comb
         monkeypatch.setattr(math, "comb", lambda n, k: built.append((n, k)) or comb(n, k))
         ppnrd_response(200, PPNRDConfig(4, eta))
-        assert [pair for pair in built if pair[0] == 200] == [(200, d)]
+        assert built and all(pair[0] != 200 for pair in built)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_certain_registration_keeps_the_integer_formula(self, eta):
+        """At efficiency 1 all n photons register and at 0 none do, so
+        P(c) is the one integer division C(k, c) surj(d, c) / k^d for that
+        d alone, bit for bit."""
+        cases = [*itertools.product(range(13), range(1, 17)), (200, 1000), (10000, 4)]
+        for n, k in cases:
+            d = n if eta == 1.0 else 0
+            expected = [
+                math.comb(k, c) * surjections(d, c) / k**d if c <= d else 0.0
+                for c in range(k + 1)
+            ]
+            got = ppnrd_response(n, PPNRDConfig(k, eta))
+            assert [x.hex() for x in got] == [x.hex() for x in expected], (n, k)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.123, 0.3, 0.5, 0.72, 1.0])
+    def test_correctly_rounded(self, eta):
+        for n in range(11):
+            for k in (1, 2, 3, 4, 5, 8):
+                expected = [float(p) for p in exact_clicks(n, k, eta)]
+                assert ppnrd_response(n, PPNRDConfig(k, eta)) == expected, (n, k)
 
     def test_negative_photons_rejected(self):
         with pytest.raises(ValueError):

@@ -510,11 +510,14 @@ class TestAgreementWithDirectSampling:
         lat = build_square_lattice(side, "open")
         model = PercModel(mode=mode)
         grid = [0.3, 0.5, 0.7]
-        curve = sweep_curves(lat, model, grid, trials=300, seed=21)["fraction"]
-        for j, p in enumerate(grid):
-            mc_mean, mc_err = direct_monte_carlo(lat, model, p, trials=300, seed=77)
-            sigma = math.sqrt(curve.stderr[j] ** 2 + mc_err**2)
-            assert abs(curve.mean[j] - mc_mean) <= 3.0 * max(sigma, 1e-6)
+        curves = sweep_curves(lat, model, grid, trials=300, seed=21)
+        for observable in percolation.OBSERVABLES:
+            curve = curves[observable]
+            for j, p in enumerate(grid):
+                mc_mean, mc_err = direct_monte_carlo(
+                    lat, model, p, trials=300, seed=77, observable=observable)
+                sigma = math.sqrt(curve.stderr[j] ** 2 + mc_err**2)
+                assert abs(curve.mean[j] - mc_mean) <= 3.0 * max(sigma, 1e-6), observable
 
     @pytest.mark.parametrize("trials", [0, -2])
     def test_direct_sampling_needs_a_trial(self, trials):
