@@ -22,7 +22,6 @@ from .experiment import (
     FusionResult,
     hom_dip,
     hom_visibility,
-    phase_sweep,
     prepare_bell_pair,
     prepare_noon_pair,
     run_fusion,
@@ -33,6 +32,7 @@ from .detection import (
     PPNRDConfig,
     estimate_fidelity_singlet,
     nfold_rate,
+    phase_sweep,
     ppnrd_response,
     success_probability,
 )

@@ -313,9 +313,7 @@ def cmd_sweep(args) -> int:
 
     with _staged_output(args.out, "sweep", {**asdict(cfg), "grid": list(grid)}) as staging:
         if cfg.kind == "phase":
-            points = experiment.phase_sweep(
-                grid, ExperimentConfig(overlap=cfg.visibility, ancilla_enabled=False)
-            )
+            points = detection.phase_sweep(grid, ExperimentConfig(overlap=cfg.visibility))
             schema = "phase-sweep v1"
             header: tuple[str, ...] = ("phase", "pp", "pm", "mp", "mm")
             rows = [
@@ -447,7 +445,7 @@ def cmd_percolate(args) -> int:
             threshold_payload = {
                 "estimate": None,
                 "method": f"unavailable ({exc})",
-                "sizes": list(cfg.sizes),
+                "sizes": sorted(cfg.sizes),
             }
         else:
             threshold_payload = {

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Mapping, Sequence
@@ -585,56 +585,6 @@ def hom_dip(overlap: float) -> float:
 
 def hom_visibility(overlap: float) -> float:
     return 1.0 - 2.0 * hom_dip(overlap)
-
-
-#: Unboosted heralding patterns over ((2,H),(2,V),(3,H),(3,V)): one photon
-#: per splitter output with opposite polarizations, the singlet signature.
-_SINGLET_HERALDS = ((1, 0, 0, 1), (0, 1, 1, 0))
-
-#: The diagonal analyzer outcomes as (H, V) amplitude vectors.
-_DIAGONAL = (
-    ("+", np.array([1, 1]) / math.sqrt(2)),
-    ("-", np.array([1, -1]) / math.sqrt(2)),
-)
-
-
-@dataclass(frozen=True)
-class FringePoint:
-    phase: float
-    #: joint probability of the singlet herald together with each +/-
-    #: analyzer outcome on the kept photons, keyed '++', '+-', '-+', '--'
-    coincidences: dict[str, float]
-
-
-def phase_sweep(
-    phases: Sequence[float], config: ExperimentConfig
-) -> list[FringePoint]:
-    """Unboosted fusion fringe versus the port-2 polarization phase.
-
-    For each phase the full four-photon preparation is fused without
-    ancillas, heralded on the singlet signature, and the kept photons are
-    analyzed in the +/- basis.  With perfect overlap the '++' coincidence
-    follows (1 - cos phase)/16 per herald pattern, a visibility-1 fringe.
-    """
-    if len(phases) == 0:
-        raise ValueError("phase grid must be non-empty")
-    if config.ancilla_enabled:
-        config = replace(config, ancilla_enabled=False)
-    targets = {
-        sx + sy: np.kron(vx, vy) for sx, vx in _DIAGONAL for sy, vy in _DIAGONAL
-    }
-    points = []
-    for phi in phases:
-        result = run_fusion(FULL_PREPARATION, replace(config, phase=phi))
-        joint = {name: 0.0 for name in targets}
-        for pattern in _SINGLET_HERALDS:
-            rho = result.conditional_states.get(pattern)
-            if rho is None:
-                continue
-            for name, t in targets.items():
-                joint[name] += float((t.conj() @ rho @ t).real)
-        points.append(FringePoint(phase=phi, coincidences=joint))
-    return points
 
 
 def fringe_visibility(values: Sequence[float]) -> float:

@@ -361,10 +361,12 @@ class TestPercolateCommand:
             (["--sizes", "8"], "need at least two sizes", [8]),
             (["--sizes", "6,8", "--boundary", "periodic"], PERIODIC, [6, 8]),
             (["--sizes", "8", "--boundary", "periodic"], PERIODIC, [8]),
+            (["--sizes", "8,6", "--boundary", "periodic"], PERIODIC, [6, 8]),
             (["--sizes", "6,8", "--grid", "0.1:0.2:0.05"],
              "spanning curve never crosses 0.5 on the grid", [6, 8]),
         ],
-        ids=["one-size", "periodic", "periodic-one-size", "never-crossing"],
+        ids=["one-size", "periodic", "periodic-one-size", "periodic-descending",
+             "never-crossing"],
     )
     def test_no_threshold_file_is_exact(self, tmp_path, flags, reason, sizes):
         """Every reason a run has no threshold, with the periodic one first,
@@ -573,7 +575,7 @@ def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, command, exist
 #: run config calls it to check ranges before any work starts.
 WORK = {
     "fusion": (detection, "success_probability", 0),
-    "sweep": (experiment, "phase_sweep", 0),
+    "sweep": (detection, "phase_sweep", 0),
     "percolate": (percolation, "size_sweeps", 0),
     "ppnrd": (detection, "ppnrd_response", 0),
     "rate": (detection, "nfold_rate", 1),

@@ -82,6 +82,9 @@ class TestPPNRD:
     def test_four_photons_fully_resolved(self):
         dist = ppnrd_response(4, PPNRDConfig(4, 1.0))
         assert dist[4] == 24 / 256
+        assert resolve_probability(4, PPNRDConfig(4, 1.0)) == 24 / 256
+        # Five photons cannot all land on distinct cells of four.
+        assert resolve_probability(5, PPNRDConfig(4, 1.0)) == 0.0
 
     def test_two_photons(self):
         dist = ppnrd_response(2, PPNRDConfig(4, 1.0))
@@ -296,6 +299,12 @@ class TestDiscriminationTable:
                 {BellLabel.PHI_PLUS: {(1, 1, 1, 1, 2, 0, 0, 0): 1.0}}
             )
 
+    def test_mixed_photon_totals_rejected(self):
+        supports = {label: {(1, 0, 0, 1): 1.0} for label in BellLabel}
+        supports[BellLabel.PHI_MINUS] = {(2, 0, 0, 1): 1.0}
+        with pytest.raises(ValueError, match=r"mix photon totals \[2, 3\]"):
+            derive_discrimination_table(supports)
+
 
 class TestSuccessProbability:
     def test_ideal_values(self):
@@ -373,6 +382,14 @@ class TestHeraldedStates:
         result = run_fusion(BellLabel.PSI_MINUS, config)
         with pytest.raises(ValueError):
             heralded_mixture(result, ideal_table(config), BellLabel.PSI_MINUS)
+
+    def test_outcome_without_heralds_rejected(self):
+        config = ExperimentConfig(ancilla_enabled=False)
+        result = run_fusion(FULL_PREPARATION, config)
+        table = {p: label for p, label in ideal_table(config).items()
+                 if label is not BellLabel.PSI_PLUS}
+        with pytest.raises(ValueError, match="no patterns herald"):
+            heralded_mixture(result, table, BellLabel.PSI_PLUS)
 
 
 class TestScalarEstimators:

@@ -32,7 +32,6 @@ from fusionsim.experiment import (
     pair_correlations,
     pair_density,
     pair_projection_prob,
-    phase_sweep,
     prepare_bell_pair,
     prepare_noon_pair,
     run_fusion,
@@ -43,6 +42,7 @@ from fusionsim.experiment import (
     _prepared,
 )
 from fusionsim import detection, experiment, fock
+from fusionsim.detection import phase_sweep
 from fusionsim.fock import (
     H,
     V,
@@ -247,6 +247,12 @@ class TestMemoizedPreparations:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
+
+    def test_preparations_reject_bad_arguments(self):
+        with pytest.raises(ValueError, match="unknown polarization 'D'"):
+            single_photon(0, {H: 0.6, "D": 0.8})
+        with pytest.raises(ValueError, match="two distinct ports"):
+            bell_state(PORT_FUSE_A, PORT_FUSE_A, BellLabel.PSI_PLUS)
 
     def test_repeated_runs_are_bit_identical(self):
         config = ExperimentConfig(overlap=0.95)
@@ -555,6 +561,10 @@ class TestFlavorAssignment:
         branches = flavor_branches((1, 2), ExperimentConfig(overlap=0.0))
         assert branches == [(1.0, {1: 1, 2: 2})]
 
+    def test_photon_ids_start_at_one(self):
+        with pytest.raises(ValueError, match="photon ids must be positive"):
+            flavor_branches((1, 0), ExperimentConfig(overlap=0.5))
+
     def test_pairwise_squared_overlap_equals_setting(self):
         for overlap in (0.3, 0.5, 0.9076):
             config = ExperimentConfig(overlap=overlap)
@@ -703,6 +713,8 @@ class TestFusionRuns:
         assert set(side) == set(BUNCHED_PLUS_PROBS)
         for pattern, prob in BUNCHED_PLUS_PROBS.items():
             assert abs(side[pattern] - prob) < 1e-9
+        # No pattern puts seven photons on one side.
+        assert result.side_distribution((PORT_FUSE_A, PORT_ANCILLA_A), 7) == {}
 
     def test_bunched_minus_distribution(self):
         result = run_fusion(BellLabel.PHI_MINUS, ExperimentConfig())
@@ -953,6 +965,11 @@ class TestAnalyzers:
         with pytest.raises(ValueError, match="port 4"):
             pair_density(state, 1, 4)
 
+    def test_rejects_one_port_for_both_photons(self):
+        state = create_photons([(Mode(1, H), 1), (Mode(4, V), 1)])
+        with pytest.raises(ValueError, match="two distinct ports"):
+            pair_density(state, 1, 1)
+
     def test_port_order_sets_tensor_order(self):
         # |H on port 1, V on port 4>: index 2 * pol_x + pol_y with H = 0.
         state = create_photons([(Mode(1, H), 1), (Mode(4, V), 1)])
@@ -973,12 +990,60 @@ class TestPhaseSweep:
         assert abs(values[1] - 1 / 16) < 1e-12
         assert abs(values[2] - 1 / 8) < 1e-12
 
+    def test_each_singlet_herald_carries_half_the_fringe(self):
+        config = ExperimentConfig(ancilla_enabled=False, phase=1.3)
+        table = detection.ideal_table(config)
+        heralds = sorted(p for p, label in table.items() if label is BellLabel.PSI_MINUS)
+        assert heralds == [(0, 1, 1, 0), (1, 0, 0, 1)]
+        states = run_fusion(FULL_PREPARATION, config).conditional_states
+        plus = np.kron([1, 1], [1, 1]) / 2
+        for pattern in heralds:
+            value = float((plus @ states[pattern] @ plus).real)
+            assert abs(value - (1 - math.cos(1.3)) / 32) < 1e-15
+
+    #: Reference coincidences ('++', '+-'), recorded when the sweep summed
+    #: the projections of a hand-listed pair of singlet heralds; '--'
+    #: equals '++' and '-+' equals '+-'.
+    PER_PHOTON_FRINGE = {
+        -7.0: ("0x1.70f0936fce69dp-6", "0x1.a3c3db240c65cp-4"),
+        -5.25: ("0x1.2186bbe701ac7p-5", "0x1.6f3ca20c7f2a1p-4"),
+        -3.5: ("0x1.cb6b8d11027a6p-4", "0x1.a4a39777ec2edp-7"),
+        -1.75: ("0x1.26b81c2026ca2p-4", "0x1.b28fc7bfb26c5p-5"),
+        0.0: ("0x1.3636e1403adc6p-7", "0x1.d93923d7f8a4bp-4"),
+        1.3: ("0x1.8bc93d88f019cp-5", "0x1.3a1b613b87f36p-4"),
+        1.75: ("0x1.26b81c2026ca3p-4", "0x1.b28fc7bfb26c4p-5"),
+        3.5: ("0x1.cb6b8d11027a6p-4", "0x1.a4a39777ec2edp-7"),
+        5.25: ("0x1.2186bbe701ac6p-5", "0x1.6f3ca20c7f2a2p-4"),
+        7.0: ("0x1.70f0936fce69fp-6", "0x1.a3c3db240c65cp-4"),
+    }
+
+    def test_per_photon_overlaps_keep_their_bits(self):
+        config = ExperimentConfig(
+            per_photon_overlap=(1.0, 0.9, 0.8, 1.0, 0.7, 1.0, 1.0, 1.0),
+            ancilla_enabled=False,
+        )
+        points = phase_sweep(list(self.PER_PHOTON_FRINGE), config)
+        for pt in points:
+            pp, pm = self.PER_PHOTON_FRINGE[pt.phase]
+            assert {k: v.hex() for k, v in pt.coincidences.items()} == {
+                "++": pp, "+-": pm, "-+": pm, "--": pp
+            }
+
+    def test_ancillas_are_switched_off(self):
+        phases = [-3.5, 0.0, 1.3, 6.9]
+        on = phase_sweep(phases, ExperimentConfig(overlap=0.9))
+        off = phase_sweep(phases, ExperimentConfig(overlap=0.9, ancilla_enabled=False))
+        assert [{k: v.hex() for k, v in pt.coincidences.items()} for pt in on] == [
+            {k: v.hex() for k, v in pt.coincidences.items()} for pt in off
+        ]
+
     def test_zero_overlap_flat_fringe(self):
         points = phase_sweep(
             [0.0, math.pi], ExperimentConfig(overlap=0.0, ancilla_enabled=False)
         )
         values = [pt.coincidences["++"] for pt in points]
         assert abs(fringe_visibility(values)) < 1e-9
+        assert fringe_visibility([0.0, 0.0]) == 0.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -1016,6 +1081,8 @@ class TestConfigValidation:
             ExperimentConfig(phase=math.inf)
         with pytest.raises(ValueError):
             ExperimentConfig(per_photon_overlap=(0.5, 1.5))
+        with pytest.raises(ValueError, match="per-photon overlaps must lie"):
+            ExperimentConfig(per_photon_overlap=(0.5,) * 7 + (1.5,))
 
     @pytest.mark.parametrize("count", [0, 2, 7, 9])
     def test_per_photon_overlap_needs_one_weight_per_photon(self, count):

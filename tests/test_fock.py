@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,6 +93,24 @@ class TestCreatePhotons:
         with pytest.raises(ValueError, match="polarization"):
             create_photons([(Mode(0, "Q"), 1)])
 
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="negative photon count -1"):
+            create_photons([(Mode(0, H), -1)])
+        with pytest.raises(ValueError, match="negative occupation -2"):
+            occupation({Mode(0, H): 1, Mode(1, V): -2})
+
+    def test_mixed_photon_numbers_rejected(self):
+        state = FockState({occupation({Mode(0, H): 1}): 0.6,
+                           occupation({Mode(0, H): 2}): 0.8})
+        with pytest.raises(ValueError, match=r"mixes photon numbers \[1, 2\]"):
+            state.n_photons()
+
+    def test_empty_state(self):
+        empty = FockState({})
+        assert len(empty.normalized()) == 0
+        assert len(superpose([])) == 0
+        assert (empty == 3) is False
+
 
 class TestElements:
     def test_hom_identity(self):
@@ -125,6 +144,8 @@ class TestElements:
     def test_unknown_port_untouched(self):
         state = create_photons([(Mode(7, H), 1)])
         assert apply_op(state, BeamSplitter(0, 1)) == state
+        empty = FockState({})
+        assert apply_op(empty, BeamSplitter(0, 1)) is empty
 
     def test_flavor_preserved(self):
         state = create_photons([(Mode(0, H, 3), 1)])
@@ -143,6 +164,19 @@ class TestElements:
         for angle in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 HalfWavePlate(0, angle)
+
+    def test_splitters_reject_bad_arguments(self):
+        with pytest.raises(ValueError, match="transmissivity must lie"):
+            BeamSplitter(0, 1, 1.5)
+        with pytest.raises(ValueError, match="beam splitter needs two distinct ports"):
+            BeamSplitter(1, 1)
+        with pytest.raises(ValueError, match="polarizing beam splitter needs two"):
+            PolarizingBeamSplitter(1, 1)
+
+    def test_unknown_element_rejected(self):
+        state = create_photons([(Mode(0, H), 1)])
+        with pytest.raises(TypeError, match="unknown element"):
+            apply_op(state, SimpleNamespace(port=0))
 
 
 class TestBundles:

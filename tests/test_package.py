@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,31 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def sibling_imports(path: Path) -> set[str]:
+    """Package modules that ``path`` imports relatively, at any depth,
+    function-level imports included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_module_layering():
+    """fock is the base, experiment builds on it and detection on
+    experiment; percolation stands alone.  Only cli and __init__ may
+    import anything."""
+    package = Path(fusionsim.__file__).parent
+    graph = {path.stem: sibling_imports(path) for path in package.glob("*.py")}
+    del graph["cli"], graph["__init__"]
+    assert graph == {
+        "fock": set(),
+        "experiment": {"fock"},
+        "detection": {"experiment"},
+        "percolation": set(),
+    }

@@ -443,6 +443,8 @@ class TestBinomialWindow:
         assert binomial_window(50, 0.0) == (0, pytest.approx([1.0]))
         start, weights = binomial_window(50, 1.0)
         assert start == 50 and weights[0] == 1.0
+        with pytest.raises(ValueError, match="p must lie"):
+            binomial_window(50, 1.5)
 
 
 class TestConvolution:
@@ -471,6 +473,17 @@ class TestConvolution:
         lat = build_square_lattice(4, "open")
         with pytest.raises(ValueError, match="at least one grid point"):
             sweep_curves(lat, PercModel(), [], trials=2, seed=1)
+
+    def test_needs_a_trial(self):
+        lat = build_square_lattice(4, "open")
+        with pytest.raises(ValueError, match="at least one trial"):
+            sweep_curves(lat, PercModel(), [0.5], trials=0, seed=1)
+
+    def test_one_trial_has_zero_stderr(self):
+        lat = build_square_lattice(6, "open")
+        curves = sweep_curves(lat, PercModel(), [0.3, 0.6, 0.9], trials=1, seed=4)
+        for curve in curves.values():
+            assert curve.stderr.tolist() == [0.0, 0.0, 0.0]
 
     def test_one_sweep_yields_both_observables(self):
         lat = build_square_lattice(9, "open")
@@ -524,6 +537,18 @@ class TestAgreementWithDirectSampling:
         lat = build_square_lattice(4, "open")
         with pytest.raises(ValueError, match="at least one trial"):
             direct_monte_carlo(lat, PercModel(mode="bond"), 0.5, trials=trials, seed=1)
+
+    def test_direct_sampling_validation(self):
+        lat = build_square_lattice(4, "open")
+        with pytest.raises(ValueError, match="p must lie"):
+            direct_monte_carlo(lat, PercModel(), -0.1, trials=2, seed=1)
+        with pytest.raises(ValueError, match="observable must be one of"):
+            direct_monte_carlo(lat, PercModel(), 0.5, trials=2, seed=1, observable="x")
+
+    def test_direct_sampling_with_no_open_site(self):
+        lat = build_square_lattice(4, "open")
+        got = direct_monte_carlo(lat, PercModel(mode="site-bond"), 0.0, trials=1, seed=1)
+        assert got == (0.0, 0.0)
 
 
 class TestDeterminism:
