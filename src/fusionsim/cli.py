@@ -513,8 +513,6 @@ class RateRunConfig:
     fold: int = 8
 
     def __post_init__(self):
-        if not math.isfinite(self.attempts):
-            raise ValueError("attempt rate must be finite")
         # The rate function checks the ranges.
         detection.nfold_rate(self.attempts, self.eta, self.fold)
 

@@ -79,7 +79,7 @@ def derive_discrimination_table(
 
 def ideal_table(config: ExperimentConfig) -> dict[Pattern, Optional[BellLabel]]:
     """Discrimination table for the configured topology at perfect overlap."""
-    ideal_config = replace(config, overlap=1.0, phase=0.0, per_photon_overlap=None)
+    ideal_config = replace(config, overlap=1.0, phase=0.0)
     results = run_fusion(tuple(BellLabel), ideal_config)
     return derive_discrimination_table(
         {label: result.pattern_probs for label, result in zip(BellLabel, results)}
@@ -232,13 +232,11 @@ def ppnrd_response(n: int, config: PPNRDConfig) -> list[float]:
 
 def resolve_probability(n: int, config: PPNRDConfig) -> float:
     """Probability that ``n`` photons produce exactly ``n`` clicks (all
-    registered, all on distinct sub-detectors)."""
+    registered, all on distinct sub-detectors): perm(k, n) a^n / (kb)^n
+    for efficiency a/b, entry n of :func:`ppnrd_response` and 0 past k."""
     k = config.fanout
-    if n > k:
-        return 0.0
-    if n == 0:
-        return 1.0
-    return config.efficiency**n * (math.perm(k, n) / k**n)
+    a, b = config.efficiency.as_integer_ratio()
+    return math.perm(k, n) * a**n / (k * b) ** n
 
 
 def normalization_factors(
@@ -297,8 +295,8 @@ def estimate_fidelity_singlet(xx: float, yy: float, zz: float) -> float:
 def nfold_rate(attempt_rate: float, efficiency: float, fold: int) -> float:
     """n-fold coincidence rate: attempts/s times the per-photon efficiency
     raised to the fold order."""
-    if attempt_rate < 0.0:
-        raise ValueError("attempt rate must be non-negative")
+    if not 0.0 <= attempt_rate < math.inf:
+        raise ValueError("attempt rate must be finite and non-negative")
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
     if fold < 1:

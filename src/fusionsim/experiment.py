@@ -97,35 +97,28 @@ _BELL_TERMS: dict[BellLabel, tuple[tuple[str, str, float], ...]] = {
 class ExperimentConfig:
     """Knobs of one simulated run.
 
-    overlap            pairwise indistinguishability of any two photons
-    ancilla_enabled    include the two N00N rails and their splitters
-    phase              relative H/V phase on the port-2 arm, radians
-    per_photon_overlap optional per-photon weights v_i on the common wave
-                       packet; the overlap of photons i and j is then
-                       sqrt(v_i * v_j), and ``overlap`` is ignored
+    overlap          pairwise indistinguishability of any two photons, or
+                     one weight v_i per photon on the common wave packet,
+                     so that photons i and j overlap by sqrt(v_i * v_j)
+    ancilla_enabled  include the two N00N rails and their splitters
+    phase            relative H/V phase on the port-2 arm, radians
     """
 
-    overlap: float = 1.0
+    overlap: float | tuple[float, ...] = 1.0
     ancilla_enabled: bool = True
     phase: float = 0.0
-    per_photon_overlap: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.overlap <= 1.0:
+        if isinstance(self.overlap, tuple) and len(self.overlap) != N_PHOTONS:
+            raise ValueError(f"overlap needs one weight per photon ({N_PHOTONS})")
+        if not all(0.0 <= self.photon_overlap(i) <= 1.0 for i in range(1, N_PHOTONS + 1)):
             raise ValueError("overlap must lie in [0, 1]")
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
-        if self.per_photon_overlap is not None:
-            if len(self.per_photon_overlap) != N_PHOTONS:
-                raise ValueError(
-                    f"per_photon_overlap needs one weight per photon ({N_PHOTONS})"
-                )
-            if any(not 0.0 <= v <= 1.0 for v in self.per_photon_overlap):
-                raise ValueError("per-photon overlaps must lie in [0, 1]")
 
     def photon_overlap(self, photon_id: int) -> float:
-        if self.per_photon_overlap is not None:
-            return self.per_photon_overlap[photon_id - 1]
+        if isinstance(self.overlap, tuple):
+            return self.overlap[photon_id - 1]
         return self.overlap
 
 

@@ -243,10 +243,6 @@ def _merged(modes: tuple[Mode, ...], occ: np.ndarray, re, im) -> FockState:
     return FockState._of(modes, occ.take(first[amps != 0], axis=0), amps[amps != 0])
 
 
-def vacuum() -> FockState:
-    return FockState({(): 1.0})
-
-
 def create_photons(placements: Iterable[tuple[Mode, int]]) -> FockState:
     """Single-term normalized state with the given photons placed.
 
@@ -601,7 +597,7 @@ def compose(*states: FockState) -> FockState:
     composing |1_m> with |1_m> yields |2_m> with the correct
     normalization.  The ``MAX_PHOTONS`` cap applies to the combined state.
     """
-    result, *rest = states or (vacuum(),)
+    result, *rest = states or (FockState({(): 1.0}),)
     for state in rest:
         modes = tuple(sorted(set(result.modes).union(state.modes)))
         a, b = _widened(result, modes), _widened(state, modes)

@@ -125,6 +125,16 @@ class TestPPNRD:
         got = resolve_probability(n, PPNRDConfig(k, eta))
         assert abs(got / expected - 1.0) < 1e-12
 
+    def test_resolve_probability_is_entry_n_of_the_distribution(self):
+        """Both round the same exact ratio, so they agree bit for bit, and
+        no photon number past the fanout resolves."""
+        for eta in (0.0, 0.123, 0.3, 0.5, 0.72, 0.9, 0.999, 1.0):
+            for k in range(1, 12):
+                config = PPNRDConfig(k, eta)
+                for n in range(k + 3):
+                    expected = ppnrd_response(n, config)[n] if n <= k else 0.0
+                    assert resolve_probability(n, config) == expected, (eta, k, n)
+
     @pytest.mark.parametrize("eta", [1.0, 0.0, 0.72])
     def test_no_binomial_over_the_photon_number(self, monkeypatch, eta):
         """The sum runs over fired cells, not registered photon counts, so
@@ -414,8 +424,9 @@ class TestScalarEstimators:
         assert abs(rate - 3.0) / 3.0 < 0.05
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            nfold_rate(-1.0, 0.5, 2)
+        for rate in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="attempt rate"):
+                nfold_rate(rate, 0.5, 2)
         with pytest.raises(ValueError):
             nfold_rate(1.0, 1.2, 2)
         with pytest.raises(ValueError):

@@ -315,7 +315,7 @@ class TestAccumulationOracle:
         self.assert_same_table(run_fusion(label, config).pattern_probs, probs)
 
     def test_full_preparation_with_two_branches(self):
-        config = ExperimentConfig(per_photon_overlap=(1.0, 0.9) + (1.0,) * 6)
+        config = ExperimentConfig(overlap=(1.0, 0.9) + (1.0,) * 6)
         assert len(flavor_branches(range(1, N_PHOTONS + 1), config)) == 2
         probs, densities = accumulated_tables(FULL_PREPARATION, config)
         result = run_fusion(FULL_PREPARATION, config)
@@ -329,7 +329,7 @@ class TestAccumulationOracle:
 BUNDLE_CONFIGS = {
     "v95": ExperimentConfig(overlap=0.95),
     "per-photon-no-ancilla": ExperimentConfig(
-        ancilla_enabled=False, per_photon_overlap=(1.0, 0.9, 0.8) + (1.0,) * 5
+        ancilla_enabled=False, overlap=(1.0, 0.9, 0.8) + (1.0,) * 5
     ),
     "phase": ExperimentConfig(overlap=0.9, phase=0.3),
 }
@@ -378,7 +378,7 @@ class TestBundledEvolution:
         """Inputs with different branch counts share one call: the full
         preparation has four branches here and each Bell input two."""
         config = ExperimentConfig(
-            ancilla_enabled=False, per_photon_overlap=(0.9, 1.0, 0.8) + (1.0,) * 5
+            ancilla_enabled=False, overlap=(0.9, 1.0, 0.8) + (1.0,) * 5
         )
         inputs = (FULL_PREPARATION, BellLabel.PSI_MINUS, BellLabel.PSI_PLUS)
         for together, item in zip(run_fusion(inputs, config), inputs):
@@ -466,7 +466,7 @@ class TestPairDensities:
     """_pair_densities over a branch's runs equals pair_density of each
     partition part, bit for bit."""
 
-    CONFIG = ExperimentConfig(per_photon_overlap=(1.0, 0.9) + (1.0,) * 6)
+    CONFIG = ExperimentConfig(overlap=(1.0, 0.9) + (1.0,) * 6)
 
     def test_runs_match_per_part_densities(self):
         network = build_fusion_network(self.CONFIG)
@@ -492,7 +492,7 @@ def test_full_preparation_with_ancillas_below_unit_overlap_keeps_its_bits():
     """Pins the probabilities (float.hex) and heralded densities (raw
     bytes), in table order, of a 16-branch full preparation whose largest
     branch has 11,520 output rows."""
-    config = ExperimentConfig(per_photon_overlap=(1.0, 0.9, 0.9, 1.0, 1.0, 0.9, 1.0, 0.9))
+    config = ExperimentConfig(overlap=(1.0, 0.9, 0.9, 1.0, 1.0, 0.9, 1.0, 0.9))
     assert len(flavor_branches(range(1, N_PHOTONS + 1), config)) == 16
     result = run_fusion(FULL_PREPARATION, config)
     probs = "".join(p.hex() for p in result.pattern_probs.values()).encode()
@@ -573,10 +573,10 @@ class TestFlavorAssignment:
             assert abs(branch_hom_visibility(config) - overlap) < 1e-12
 
     def test_per_photon_override(self):
-        cfg = ExperimentConfig(per_photon_overlap=(1.0, 0.49) + (1.0,) * 6)
+        cfg = ExperimentConfig(overlap=(1.0, 0.49) + (1.0,) * 6)
         assert abs(shared_wave_packet(cfg, 1, 2) - 0.7) < 1e-12
         assert abs(branch_hom_visibility(cfg) - 0.7) < 1e-12
-        cfg = ExperimentConfig(per_photon_overlap=(0.81, 0.64) + (1.0,) * 6)
+        cfg = ExperimentConfig(overlap=(0.81, 0.64) + (1.0,) * 6)
         assert abs(branch_hom_visibility(cfg) - 0.72) < 1e-12
 
     def test_half_overlap_dip(self):
@@ -589,7 +589,7 @@ class TestFlavorAssignment:
         )
     )
     def test_weights_sum_to_one(self, overlaps):
-        config = ExperimentConfig(per_photon_overlap=tuple(overlaps))
+        config = ExperimentConfig(overlap=tuple(overlaps))
         branches = flavor_branches(range(1, N_PHOTONS + 1), config)
         # Each photon of overlap strictly between 0 and 1 doubles the
         # branches (fewer only where a product of weights underflows).
@@ -795,7 +795,7 @@ class TestFusionRuns:
     def test_conditional_branches_match_coherent_per_photon_overlap(self):
         assert_matches_coherent_preparation(
             ExperimentConfig(
-                per_photon_overlap=(0.99, 0.9, 0.95, 0.85) + (1.0,) * 4,
+                overlap=(0.99, 0.9, 0.95, 0.85) + (1.0,) * 4,
                 ancilla_enabled=False,
             )
         )
@@ -1019,7 +1019,7 @@ class TestPhaseSweep:
 
     def test_per_photon_overlaps_keep_their_bits(self):
         config = ExperimentConfig(
-            per_photon_overlap=(1.0, 0.9, 0.8, 1.0, 0.7, 1.0, 1.0, 1.0),
+            overlap=(1.0, 0.9, 0.8, 1.0, 0.7, 1.0, 1.0, 1.0),
             ancilla_enabled=False,
         )
         points = phase_sweep(list(self.PER_PHOTON_FRINGE), config)
@@ -1080,14 +1080,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(phase=math.inf)
         with pytest.raises(ValueError):
-            ExperimentConfig(per_photon_overlap=(0.5, 1.5))
-        with pytest.raises(ValueError, match="per-photon overlaps must lie"):
-            ExperimentConfig(per_photon_overlap=(0.5,) * 7 + (1.5,))
+            ExperimentConfig(overlap=(0.5, 1.5))
+        with pytest.raises(ValueError, match="overlap must lie"):
+            ExperimentConfig(overlap=(0.5,) * 7 + (1.5,))
 
     @pytest.mark.parametrize("count", [0, 2, 7, 9])
     def test_per_photon_overlap_needs_one_weight_per_photon(self, count):
         with pytest.raises(ValueError, match="one weight per photon"):
-            ExperimentConfig(per_photon_overlap=(0.9,) * count)
+            ExperimentConfig(overlap=(0.9,) * count)
+
+    def test_scalar_overlap_replaces_per_photon_weights(self):
+        """One field holds the overlap, so replacing it resets every
+        photon, as ``ideal_table`` does."""
+        config = replace(ExperimentConfig(overlap=(0.9,) * 7 + (0.5,)), overlap=1.0)
+        assert all(config.photon_overlap(i) == 1.0 for i in range(1, N_PHOTONS + 1))
 
     def test_monotone_success_weight_decreases(self):
         # The bunched branch of an even-parity input loses weight as the

@@ -26,7 +26,6 @@ from fusionsim.fock import (
     pattern_distribution,
     project_port_counts,
     superpose,
-    vacuum,
     _group,
     _parts,
     _product,
@@ -660,7 +659,7 @@ class TestInvariants:
         assert alone.modes == state.modes
         assert alone.occ.tobytes() == state.occ.tobytes()
         assert alone.amps.tobytes() == state.amps.tobytes()
-        assert compose() == vacuum()
+        assert compose() == create_photons([])
 
     def test_compose_matches_term_by_term_product(self):
         rng = np.random.default_rng(25)

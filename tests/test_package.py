@@ -30,6 +30,30 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_module_entry_point_keeps_the_exit_codes(tmp_path):
+    """``python -m fusionsim.cli`` exits 0 on a run, 2 on a bad
+    configuration and 1 on a runtime failure."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fusionsim.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "fusionsim.cli", "rate", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert run("--out", str(tmp_path / "ok")).returncode == 0
+    assert (tmp_path / "ok" / "rate.json").is_file()
+    bad = run("--eta", "2", "--out", str(tmp_path / "bad"))
+    assert bad.returncode == 2
+    assert "config error:" in bad.stderr
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    failed = run("--out", str(afile))
+    assert failed.returncode == 1
+    assert failed.stderr.startswith("error:")
+    assert afile.read_text() == "kept"
+
+
 def sibling_imports(path: Path) -> set[str]:
     """Package modules that ``path`` imports relatively, at any depth,
     function-level imports included."""
