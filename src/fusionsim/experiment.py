@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -36,7 +37,6 @@ import numpy as np
 
 from .fock import (
     H,
-    POLARIZATIONS,
     V,
     BeamSplitter,
     ElementaryOp,
@@ -49,7 +49,6 @@ from .fock import (
     apply_network,
     apply_op,
     compose,
-    occupation,
     pattern_distribution,
     project_port_counts,
     _column_sums,
@@ -109,9 +108,11 @@ class ExperimentConfig:
     phase: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.overlap, tuple) and len(self.overlap) != N_PHOTONS:
-            raise ValueError(f"overlap needs one weight per photon ({N_PHOTONS})")
-        if not all(0.0 <= self.photon_overlap(i) <= 1.0 for i in range(1, N_PHOTONS + 1)):
+        weights = self.overlap if isinstance(self.overlap, tuple) else (self.overlap,) * N_PHOTONS
+        if len(weights) != N_PHOTONS or not all(isinstance(w, numbers.Real) for w in weights):
+            raise ValueError(f"overlap must be a number, or a tuple of {N_PHOTONS} numbers "
+                             "(one weight per photon)")
+        if not all(0.0 <= w <= 1.0 for w in weights):
             raise ValueError("overlap must lie in [0, 1]")
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
@@ -139,6 +140,8 @@ def flavor_branches(
     with probability sqrt(v_i * v_j), equal to the configured scalar when
     uniform, and the simulated HOM visibility of any pair equals V exactly.
     """
+    if len(set(photon_ids)) < len(photon_ids):
+        raise ValueError("photon ids must be distinct")
     branches: list[tuple[float, dict[int, int]]] = [(1.0, {})]
     for pid in photon_ids:
         if pid <= 0:
@@ -157,18 +160,10 @@ def single_photon(
     port: int, pol_amplitudes: Mapping[str, complex], flavor: int = 0
 ) -> FockState:
     """One photon on ``port`` in a polarization superposition."""
-    if unknown := set(pol_amplitudes) - set(POLARIZATIONS):
-        raise ValueError(f"unknown polarization {unknown.pop()!r}")
     return FockState({((Mode(port, pol, flavor), 1),): c for pol, c in pol_amplitudes.items()})
 
 
 _PLUS = {H: 1 / math.sqrt(2), V: 1 / math.sqrt(2)}
-
-
-def _read_only(state: FockState) -> FockState:
-    """``state`` with its arrays locked, so a memoized result stays as made."""
-    state.occ.flags.writeable = state.amps.flags.writeable = False
-    return state
 
 
 @lru_cache(maxsize=256)
@@ -183,16 +178,16 @@ def bell_state(
 
     Each photon keeps its own wave packet regardless of polarization; the
     polarization-correlated wave packets of the physical preparation are
-    produced by :func:`prepare_bell_pair` instead.  Memoized, so the
-    returned arrays are read-only.
+    produced by :func:`prepare_bell_pair` instead.  Memoized, which is
+    safe since every state's arrays are read-only.
     """
     if port_x == port_y:
         raise ValueError("Bell state needs two distinct ports")
-    return _read_only(FockState({
-        occupation([(Mode(port_x, pol_x, flavor_x), 1), (Mode(port_y, pol_y, flavor_y), 1)]):
+    return FockState({
+        ((Mode(port_x, pol_x, flavor_x), 1), (Mode(port_y, pol_y, flavor_y), 1)):
             sign / math.sqrt(2)
         for pol_x, pol_y, sign in _BELL_TERMS[label]
-    }))
+    })
 
 
 @lru_cache(maxsize=64)
@@ -218,8 +213,7 @@ def prepare_bell_pair(
         photons,
         (PolarizingBeamSplitter(port_keep, port_fuse), HalfWavePlate(port_fuse, 0.0)),
     )
-    state, prob = project_port_counts(mixed, {port_keep: 1, port_fuse: 1})
-    return _read_only(state), prob
+    return project_port_counts(mixed, {port_keep: 1, port_fuse: 1})
 
 
 @lru_cache(maxsize=64)
@@ -244,7 +238,7 @@ def prepare_noon_pair(
         HalfWavePlate(port_in, math.pi / 4),
         PolarizingBeamSplitter(port_out, port_in),
     )
-    return _read_only(apply_network(photons, network))
+    return apply_network(photons, network)
 
 
 def _phase_gadget(port: int, phase: float) -> tuple:

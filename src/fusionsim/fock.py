@@ -25,6 +25,9 @@ order into states and :func:`pattern_distribution` into squared norms,
 each square rounded as Python's ``** 2`` rounds it; experiment.run_fusion
 reads its table and heralded densities off the same order.
 
+Hand-built states enter through ``FockState(terms)``, which canonicalizes,
+checks and merges every key; every state's arrays are read-only.
+
 Elements (beam splitters, phase shifters, wave plates, polarizing beam
 splitters) act by substituting creation operators, which is exact for any
 photon number.  A network is a plain sequence of elements, which
@@ -154,25 +157,34 @@ class FockState:
     ``modes`` is a sorted tuple of modes, ``occ`` a matrix of photon
     counts (terms x modes) with distinct rows of at most ``MAX_PHOTONS``
     photons, and ``amps`` the row amplitudes.  Instances are immutable
-    values; every operation returns a new state.
+    values, their arrays read-only; every operation returns a new state.
+
+    ``FockState(terms)`` takes occupation -> amplitude pairs.  It drops
+    zero amplitudes, canonicalizes each key by :func:`occupation` (a mode
+    named twice adds its counts; a negative count is refused), refuses a
+    polarization other than H or V and a term above ``MAX_PHOTONS``, and
+    sums keys that name one occupation in key order, as :func:`superpose`.
     """
 
     __slots__ = ("modes", "occ", "amps", "_terms")
 
     def __init__(self, terms: Mapping[Occupation, complex]):
-        terms = {occ: complex(amp) for occ, amp in terms.items() if amp != 0}
-        self.modes = tuple(sorted({mode for occ in terms for mode, _ in occ}))
-        counts = [dict(key) for key in terms]
-        occ = np.array([[c.get(m, 0) for m in self.modes] for c in counts], dtype=int)
-        occ = occ.reshape(len(terms), len(self.modes))
+        terms = [(occupation(key), complex(amp)) for key, amp in terms.items() if amp != 0]
+        modes = tuple(sorted({mode for key, _ in terms for mode, _ in key}))
+        if unknown := {mode.pol for mode in modes} - set(POLARIZATIONS):
+            raise ValueError(f"unknown polarization {unknown.pop()!r}")
+        occ = np.array([[dict(key).get(m, 0) for m in modes] for key, _ in terms], dtype=int)
+        occ = occ.reshape(len(terms), len(modes))
         if (occ.sum(axis=1) > MAX_PHOTONS).any():
             raise ValueError(f"a term exceeds {MAX_PHOTONS} photons")
-        self.occ, self.amps = occ.astype(np.uint8), np.array(list(terms.values()), complex)
-        self._terms = None
+        amps = np.array([amp for _, amp in terms], complex)
+        state = _merged(modes, occ.astype(np.uint8), amps.real, amps.imag)
+        self.modes, self.occ, self.amps, self._terms = modes, state.occ, state.amps, None
 
     @classmethod
     def _of(cls, modes: tuple[Mode, ...], occ: np.ndarray, amps: np.ndarray) -> FockState:
-        """Internal constructor for rows that are already distinct."""
+        """Internal constructor for distinct rows; it locks both arrays."""
+        occ.flags.writeable = amps.flags.writeable = False
         state = cls.__new__(cls)
         state.modes, state.occ, state.amps, state._terms = modes, occ, amps, None
         return state
@@ -246,18 +258,15 @@ def _merged(modes: tuple[Mode, ...], occ: np.ndarray, re, im) -> FockState:
 def create_photons(placements: Iterable[tuple[Mode, int]]) -> FockState:
     """Single-term normalized state with the given photons placed.
 
-    Raises on duplicate modes and on totals above ``MAX_PHOTONS``.
+    Raises on duplicate modes; :class:`FockState` checks the rest.
     """
-    seen: dict[Mode, int] = {}
-    for mode, n in placements:
+    placements = tuple(placements)
+    seen: set[Mode] = set()
+    for mode, _ in placements:
         if mode in seen:
             raise ValueError(f"duplicate mode {mode} in placements")
-        if n < 0:
-            raise ValueError(f"negative photon count {n}")
-        if mode.pol not in POLARIZATIONS:
-            raise ValueError(f"unknown polarization {mode.pol!r}")
-        seen[mode] = n
-    return FockState({occupation(seen): 1.0})
+        seen.add(mode)
+    return FockState({placements: 1.0})
 
 
 # --------------------------------------------------------------------------

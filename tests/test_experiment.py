@@ -565,6 +565,10 @@ class TestFlavorAssignment:
         with pytest.raises(ValueError, match="photon ids must be positive"):
             flavor_branches((1, 0), ExperimentConfig(overlap=0.5))
 
+    def test_photon_ids_must_be_distinct(self):
+        with pytest.raises(ValueError, match="photon ids must be distinct"):
+            flavor_branches((1, 1), ExperimentConfig(overlap=0.5))
+
     def test_pairwise_squared_overlap_equals_setting(self):
         for overlap in (0.3, 0.5, 0.9076):
             config = ExperimentConfig(overlap=overlap)
@@ -1083,6 +1087,9 @@ class TestConfigValidation:
             ExperimentConfig(overlap=(0.5, 1.5))
         with pytest.raises(ValueError, match="overlap must lie"):
             ExperimentConfig(overlap=(0.5,) * 7 + (1.5,))
+        for overlap in ([0.9] * N_PHOTONS, (0.9,) * (N_PHOTONS - 1) + ("0.9",)):
+            with pytest.raises(ValueError, match="a number, or a tuple of 8 numbers"):
+                ExperimentConfig(overlap=overlap)
 
     @pytest.mark.parametrize("count", [0, 2, 7, 9])
     def test_per_photon_overlap_needs_one_weight_per_photon(self, count):

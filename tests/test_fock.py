@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionsim.fock import (
     H,
@@ -93,7 +95,7 @@ class TestCreatePhotons:
             create_photons([(Mode(0, "Q"), 1)])
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="negative photon count -1"):
+        with pytest.raises(ValueError, match="negative occupation -1"):
             create_photons([(Mode(0, H), -1)])
         with pytest.raises(ValueError, match="negative occupation -2"):
             occupation({Mode(0, H): 1, Mode(1, V): -2})
@@ -109,6 +111,78 @@ class TestCreatePhotons:
         assert len(empty.normalized()) == 0
         assert len(superpose([])) == 0
         assert (empty == 3) is False
+
+
+class TestHandBuiltStates:
+    """``FockState(terms)`` canonicalizes, checks and merges every key, and
+    every state's arrays are read-only."""
+
+    A, B = Mode(0, H), Mode(1, H)
+    MODES = [Mode(p, pol, f) for p in range(3) for pol in (H, V) for f in range(2)]
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="negative occupation -1"):
+            FockState({((self.A, -1),): 1.0})
+
+    def test_mode_named_twice_adds_its_counts(self):
+        state = FockState({((self.A, 1), (self.A, 1)): 1.0})
+        assert state.items() == [(((self.A, 2),), 1 + 0j)]
+        assert state.n_photons() == 2
+
+    def test_keys_of_one_occupation_are_summed(self):
+        state = FockState({((self.A, 1), (self.B, 1)): 0.6, ((self.B, 1), (self.A, 1)): 0.8})
+        assert len(state) == 1
+        assert state.terms == {((self.A, 1), (self.B, 1)): 0.6 + 0.8 + 0j}
+        assert state.norm_squared() == (0.6 + 0.8) ** 2
+        out = apply_op(state, BeamSplitter(0, 1))
+        assert abs(out.norm_squared() - state.norm_squared()) < 1e-12
+
+    @pytest.mark.parametrize("pol", ["X", "h"])
+    def test_unknown_polarization_refused(self, pol):
+        with pytest.raises(ValueError, match=f"unknown polarization '{pol}'"):
+            FockState({((Mode(0, pol), 1),): 1.0})
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_door_equals_superpose_of_canonical_terms(self, data):
+        """Keys with shuffled pairs, zero counts and modes split across two
+        pairs, one occupation named under a second key: the door sums them
+        as superpose sums canonical single-term states."""
+        counts = st.dictionaries(st.sampled_from(self.MODES), st.integers(1, 2), max_size=4)
+        occs = data.draw(st.lists(counts, min_size=1, max_size=4))
+        amps = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+        terms = {}
+        for occ in occs + occs[:1]:
+            pairs = []
+            for mode, n in occ.items():
+                k = data.draw(st.integers(0, n))
+                pairs += [(mode, k), (mode, n - k)]
+            terms[tuple(data.draw(st.permutations(pairs)))] = data.draw(amps)
+        state = FockState(terms)
+        assert len(np.unique(state.occ, axis=0)) == len(state)
+        assert not state.occ.flags.writeable and not state.amps.flags.writeable
+        assert state == superpose((amp, create_photons(occupation(key)))
+                                  for key, amp in terms.items())
+
+    def test_every_state_is_read_only(self):
+        hv, vh = ((self.A, 1), (Mode(1, V), 1)), ((Mode(0, V), 1), (self.B, 1))
+        plus, minus = FockState({hv: 0.6, vh: 0.8}), FockState({hv: 0.6, vh: -0.8})
+        one = create_photons([(self.A, 1), (Mode(1, V), 1)])
+        out = apply_op(plus, BeamSplitter(0, 1))
+        states = [
+            plus,
+            one,
+            compose(one, create_photons([(Mode(2, H), 1)])),
+            superpose([(1.0, plus), (0.5, one)]),
+            out,
+            *apply_op((plus, minus), BeamSplitter(0, 1)),
+            *partition(out, [(0, None), (1, None)]).values(),
+            out.normalized(),
+            project_port_counts(out, {0: 1, 1: 1})[0],
+        ]
+        for state in states:
+            assert not state.occ.flags.writeable
+            assert not state.amps.flags.writeable
 
 
 class TestElements:

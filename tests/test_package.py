@@ -16,6 +16,21 @@ def test_star_import_and_all_names_resolve():
         assert namespace[name] is getattr(fusionsim, name), name
 
 
+def test_readme_quick_start_prints_what_its_comments_say():
+    """README's first python block runs, and the values it prints are the
+    ones its comments give."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    namespace: dict = {}
+    exec(readme.split("```python\n")[1].split("```")[0], namespace)
+    success = {label.value: p for label, p in namespace["stats"].per_input_success.items()}
+    expected = {"phi+": 0.5, "phi-": 0.5, "psi+": 1.0, "psi-": 1.0}
+    assert list(success) == list(expected)
+    assert all(abs(success[label] - p) < 1e-12 for label, p in expected.items())
+    assert abs(namespace["stats"].total_success - 0.75) < 1e-12
+    assert abs(sum(namespace["result"].pattern_probs.values()) - 1.0) < 1e-12
+    assert abs(namespace["singlet_fidelity"](namespace["mix"]) - 1.0) < 1e-12
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     """The pool module is imported only by a parallel sweep, so it adds
     nothing to the start-up of every other run."""
